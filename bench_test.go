@@ -222,10 +222,10 @@ func BenchmarkE1Evolution(b *testing.B) {
 	}
 }
 
-// BenchmarkA1FlexRecsVsHardcoded contrasts the declarative CF workflow
+// BenchmarkA1FlexRecsVsHandCoded contrasts the declarative CF workflow
 // with the equivalent hard-coded recommender — the cost of FlexRecs'
 // flexibility (§3.2). Run with -bench A1 to see both lines.
-func BenchmarkA1FlexRecsVsHardcoded(b *testing.B) {
+func BenchmarkA1FlexRecsVsHandCoded(b *testing.B) {
 	r := runner(b)
 	b.Run("workflow", func(b *testing.B) {
 		tpl, _ := r.Site.Strategies.Get("cf-courses")

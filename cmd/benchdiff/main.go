@@ -95,19 +95,6 @@ func main() {
 		fmt.Printf("plan-cache hit rate %.4f (%d hits / %d misses / %d invalidations)%s\n",
 			pc.HitRate, pc.Hits, pc.Misses, pc.Invalidations, mark)
 	}
-	// Sharding counters sanity-check the routing paths: a record whose
-	// scan scenarios ran but whose cluster never fanned out (or never
-	// pinned a shard key) means the router stopped routing.
-	if sh := cur.Sharding; sh != nil {
-		mark := ""
-		if sh.FanOut == 0 || sh.FastPath == 0 {
-			mark = "  ROUTING DEAD"
-			failed = true
-		}
-		fmt.Printf("sharding: %d shards × %d workers, %d fast-path, %d fan-out (ordered %d / concat %d / combine %d), fan-out speedup %.2fx%s\n",
-			sh.Shards, sh.Workers, sh.FastPath, sh.FanOut,
-			sh.MergeOrdered, sh.MergeConcat, sh.MergeCombine, sh.FanoutSpeedup, mark)
-	}
 	// The latency section is informational: percentiles ride wall-clock
 	// noise too hard to gate, but printing them puts the observed
 	// distribution next to the ns/op means it must explain.

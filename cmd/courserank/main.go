@@ -4,8 +4,7 @@
 // Usage:
 //
 //	courserank [-scale tiny|small|paper] [-addr :8080] [-demo]
-//	           [-durable DIR] [-fsync sync|async] [-shards N]
-//	           [-pprof ADDR]
+//	           [-durable DIR] [-fsync sync|async] [-pprof ADDR]
 //
 // With -demo it skips the server and walks one student session through
 // the headline features (search → cloud → refine → recommend → plan)
@@ -17,11 +16,6 @@
 // instead of regenerating. -fsync picks the commit policy: "sync"
 // (default) fsyncs every commit, "async" trades the last flush interval
 // for group-commit-free latency.
-//
-// With -shards N the student-keyed tables split across N shards after
-// loading: per-student queries route to one shard, everything else
-// scatter-gathers in parallel. /api/stats grows a "sharding" section
-// with per-shard row counts and routing counters.
 //
 // The server runs with query-level observability on: per-statement
 // latency histograms at /api/queries, the slow-query log at
@@ -53,7 +47,6 @@ func main() {
 	demo := flag.Bool("demo", false, "print a demo session instead of serving")
 	durable := flag.String("durable", "", "directory for durable storage (empty = in-memory)")
 	fsync := flag.String("fsync", "sync", "durable commit policy: sync, async")
-	shards := flag.Int("shards", 0, "split student-keyed tables across N shards (0 = monolithic)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	flag.Parse()
 
@@ -121,12 +114,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	}
-	if *shards > 0 {
-		if err := site.EnableSharding(*shards); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("sharded across %d shards (workers per fan-out: GOMAXPROCS)", *shards)
 	}
 	s := site.Scale()
 	log.Printf("ready in %v: %d courses, %d comments, %d ratings, %d users",

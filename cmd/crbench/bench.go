@@ -17,53 +17,13 @@ import (
 	"courserank/internal/experiments"
 	"courserank/internal/matview"
 	"courserank/internal/relation"
-	"courserank/internal/shard"
 	"courserank/internal/wal"
 )
-
-// shardScanSQL is the fan-out workload the sharding scenarios time: a
-// rating-range scan over the partitioned Comments table whose ORDER BY
-// the coordinator answers by merging per-shard key-ordered streams.
-const shardScanSQL = `SELECT SuID, CourseID, Rating FROM Comments WHERE Rating >= ? ORDER BY Rating DESC`
-
-// shardClusters splits the runner's deployment once into the 4-shard
-// and 1-shard clusters the sharding scenarios share. The split reads
-// the site's tables without modifying them (declaring the shard keys
-// is advisory metadata), so the mono scenarios are unaffected.
-var shardClusters = struct {
-	once   sync.Once
-	c4, c1 *shard.Cluster
-	err    error
-}{}
 
 // observedLatency carries the collector's per-statement percentiles
 // out of the ObservedPointLookup scenario (whose collector is torn
 // down when the scenario restores the bare site) into the report.
 var observedLatency []benchfmt.Latency
-
-func shardBench(b *testing.B, r *experiments.Runner) (c4, c1 *shard.Cluster) {
-	b.Helper()
-	sc := &shardClusters
-	sc.once.Do(func() {
-		for _, name := range []string{"Comments", "Enrollments", "EnrollmentPoints"} {
-			tbl, ok := r.Site.DB.Table(name)
-			if !ok {
-				continue
-			}
-			if sc.err = tbl.SetShardKey("SuID"); sc.err != nil {
-				return
-			}
-		}
-		if sc.c4, sc.err = shard.Split(r.Site.DB, 4); sc.err != nil {
-			return
-		}
-		sc.c1, sc.err = shard.Split(r.Site.DB, 1)
-	})
-	if sc.err != nil {
-		b.Fatal(sc.err)
-	}
-	return sc.c4, sc.c1
-}
 
 // explainExpect is the plan-shape guard shared by scenarios that claim
 // to measure one specific access path: the statement's Explain output
@@ -84,7 +44,7 @@ func explainExpect(b *testing.B, explain func() (string, error), want string) {
 // write: an auto-increment key plus one payload column.
 func durableBenchTable() *relation.Table {
 	return relation.MustTable("Bench",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("ID", relation.TypeInt),
 			relation.NotNullCol("Val", relation.TypeString),
 		), relation.WithPrimaryKey("ID"), relation.WithAutoIncrement("ID"))
@@ -507,76 +467,6 @@ func benchmarks(r *experiments.Runner) []struct {
 				}
 			}
 		}},
-		// ShardedScanFanout scatters the rating-range scan to 4 shards on
-		// parallel workers and merges the per-shard ordered streams; its
-		// speedup over ShardedScanOneShard below is the parallelism win
-		// (gated ≥3× only when GOMAXPROCS allows 4 true workers).
-		{"ShardedScanFanout", func(b *testing.B) {
-			c4, _ := shardBench(b, r)
-			st, err := c4.Prepare(shardScanSQL)
-			if err != nil {
-				b.Fatal(err)
-			}
-			explainExpect(b, st.Explain, "fan-out over 4 shards, merge=by-order")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Query(4.0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		// ShardedScanOneShard is the same scan through a 1-shard cluster:
-		// identical routing machinery, no parallelism — the denominator of
-		// the fan-out speedup.
-		{"ShardedScanOneShard", func(b *testing.B) {
-			_, c1 := shardBench(b, r)
-			st, err := c1.Prepare(shardScanSQL)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Query(4.0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		// SingleShardFastPath is the per-student history lookup with the
-		// shard key pinned: the router must send it to exactly one shard,
-		// keeping point lookups inside the mono latency gates.
-		{"SingleShardFastPath", func(b *testing.B) {
-			c4, _ := shardBench(b, r)
-			st, err := c4.Prepare(`SELECT CourseID, Rating FROM Comments WHERE SuID = ?`)
-			if err != nil {
-				b.Fatal(err)
-			}
-			explainExpect(b, func() (string, error) { return st.ExplainArgs(r.Man.SampleStudent) }, "shard key pinned")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Query(r.Man.SampleStudent); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		// ShardedTopRatedFeed is the feed rebuild's scatter-gather shape:
-		// per-shard COUNT/SUM partials over the partitioned Comments side
-		// of the catalog join, merged by group key at the coordinator.
-		{"ShardedTopRatedFeed", func(b *testing.B) {
-			c4, _ := shardBench(b, r)
-			st, err := c4.Prepare(`SELECT c.DepID, c.CourseID, c.Title, COUNT(m.Rating), SUM(m.Rating)
-				FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID
-				GROUP BY c.DepID, c.CourseID, c.Title`)
-			if err != nil {
-				b.Fatal(err)
-			}
-			explainExpect(b, st.Explain, "merge=combine-partials")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Query(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		// WideJoinStreamFirst50 measures true streaming below the Rows
 		// API: a comments×catalog join consumed 50 rows at a time — the
 		// iterator pipeline stops scanning and probing once the reader
@@ -611,7 +501,7 @@ func benchmarks(r *experiments.Runner) []struct {
 		{"ConcurrentWriters", func(b *testing.B) {
 			db := relation.NewDB()
 			tbl := db.MustCreate(relation.MustTable("TxBench",
-				relation.NewSchema(
+				relation.MustSchema(
 					relation.NotNullCol("ID", relation.TypeInt),
 					relation.NotNullCol("Val", relation.TypeString),
 				), relation.WithPrimaryKey("ID"), relation.WithAutoIncrement("ID")))
@@ -638,7 +528,7 @@ func benchmarks(r *experiments.Runner) []struct {
 		{"SnapshotReadUnderWriteStorm", func(b *testing.B) {
 			db := relation.NewDB()
 			tbl := db.MustCreate(relation.MustTable("TxBench",
-				relation.NewSchema(
+				relation.MustSchema(
 					relation.NotNullCol("ID", relation.TypeInt),
 					relation.NotNullCol("Val", relation.TypeString),
 				), relation.WithPrimaryKey("ID"), relation.WithAutoIncrement("ID")))
@@ -744,22 +634,6 @@ func runBenchmarks(r *experiments.Runner, scale, filter string, w io.Writer) err
 	fmt.Fprintf(os.Stderr, "flex compile cache: %d hits, %d misses\n", fh, fm)
 	fmt.Fprintf(os.Stderr, "matviews: %d views, %d hits, %d stale hits, %d misses, %d refreshes, %d invalidations\n",
 		mv.Views, mv.Hits, mv.StaleHits, mv.Misses, mv.Refreshes, mv.Invalidations)
-	if shardClusters.c4 != nil {
-		st := shardClusters.c4.Stats()
-		report.Sharding = &benchfmt.Sharding{
-			Shards:        st.Shards,
-			Workers:       runtime.GOMAXPROCS(0),
-			FastPath:      st.FastPath,
-			FanOut:        st.FanOut,
-			MergeOrdered:  st.MergeOrdered,
-			MergeConcat:   st.MergeConcat,
-			MergeCombine:  st.MergeCombine,
-			FanoutSpeedup: fanoutSpeedup(report),
-		}
-		fmt.Fprintf(os.Stderr, "sharding: %d shards, %d fast-path, %d fan-out (ordered %d, concat %d, combine %d), fan-out speedup %.2f×\n",
-			st.Shards, st.FastPath, st.FanOut, st.MergeOrdered, st.MergeConcat, st.MergeCombine,
-			report.Sharding.FanoutSpeedup)
-	}
 	if len(observedLatency) > 0 {
 		report.Latency = observedLatency
 		for _, l := range report.Latency {
@@ -770,9 +644,6 @@ func runBenchmarks(r *experiments.Runner, scale, filter string, w io.Writer) err
 	// A filtered run may omit the view scenarios the speedup gate reads.
 	if filterRE == nil {
 		if err := checkViewSpeedup(report); err != nil {
-			return err
-		}
-		if err := checkShardSpeedup(report); err != nil {
 			return err
 		}
 		if err := checkObservedOverhead(report); err != nil {
@@ -836,47 +707,5 @@ func checkObservedOverhead(report benchfmt.Report) error {
 			observed/bare, observed, bare)
 	}
 	fmt.Fprintf(os.Stderr, "observation overhead %.2f× on the prepared point lookup\n", observed/bare)
-	return nil
-}
-
-// fanoutSpeedup is the 1-shard scan time over the 4-shard scan time —
-// what scattering the same work to parallel workers bought. Zero when
-// either scenario was filtered out.
-func fanoutSpeedup(report benchfmt.Report) float64 {
-	var fan, one float64
-	for _, b := range report.Benchmarks {
-		switch b.Name {
-		case "ShardedScanFanout":
-			fan = b.NsPerOp
-		case "ShardedScanOneShard":
-			one = b.NsPerOp
-		}
-	}
-	if fan == 0 || one == 0 {
-		return 0
-	}
-	return one / fan
-}
-
-// checkShardSpeedup is the scatter-gather acceptance gate: with 4 true
-// workers available, scattering the scan to 4 shards must run it at
-// least 3× faster than the same scan through a 1-shard cluster. On
-// smaller machines the parallelism does not exist to measure, so the
-// gate only reports — a single-core runner would time pure overhead.
-func checkShardSpeedup(report benchfmt.Report) error {
-	speedup := fanoutSpeedup(report)
-	if speedup == 0 {
-		return fmt.Errorf("bench: missing ShardedScanFanout/ShardedScanOneShard results")
-	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		fmt.Fprintf(os.Stderr, "fan-out speedup %.2f× (GOMAXPROCS=%d < 4, ≥3× gate not applicable)\n",
-			speedup, runtime.GOMAXPROCS(0))
-		return nil
-	}
-	if speedup < 3 {
-		return fmt.Errorf("bench: 4-shard fan-out is only %.2f× faster than one shard, want ≥3× with %d workers",
-			speedup, runtime.GOMAXPROCS(0))
-	}
-	fmt.Fprintf(os.Stderr, "fan-out speedup %.2f× over one shard\n", speedup)
 	return nil
 }

@@ -152,7 +152,7 @@ func main() {
 		{"grades", func() (string, error) { return r.GradeDivergence(), nil }},
 		{"evolution", func() (string, error) { return r.Evolution(), nil }},
 		{"incentives", r.Incentives},
-		{"a1", r.AblationFlexVsHardcoded},
+		{"a1", r.AblationFlexVsHandCoded},
 		{"a2", r.AblationCloudCost},
 		{"a3", r.AblationEntitySearch},
 	}

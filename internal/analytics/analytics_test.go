@@ -107,7 +107,7 @@ func TestCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	courses := relation.MustTable("Courses", relation.NewSchema(
+	courses := relation.MustTable("Courses", relation.MustSchema(
 		relation.NotNullCol("CourseID", relation.TypeInt),
 		relation.NotNullCol("Title", relation.TypeString),
 	), relation.WithPrimaryKey("CourseID"))

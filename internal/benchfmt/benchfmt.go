@@ -49,23 +49,6 @@ type Matview struct {
 	Invalidations uint64 `json:"invalidations"`
 }
 
-// Sharding records the scatter-gather cluster over a benchmark run:
-// how queries routed (shard-key-pinned fast path vs full fan-out),
-// which merge strategies the fan-outs used, and the measured speedup
-// of the parallel fan-out scan over the same scan on one shard.
-// Workers is the per-query pool bound (GOMAXPROCS at cluster build) —
-// on a single-core runner the speedup is expected to hover near 1×.
-type Sharding struct {
-	Shards        int     `json:"shards"`
-	Workers       int     `json:"workers"`
-	FastPath      uint64  `json:"fast_path"`
-	FanOut        uint64  `json:"fan_out"`
-	MergeOrdered  uint64  `json:"merge_ordered"`
-	MergeConcat   uint64  `json:"merge_concat"`
-	MergeCombine  uint64  `json:"merge_combine"`
-	FanoutSpeedup float64 `json:"fanout_speedup"`
-}
-
 // Latency is one statement fingerprint's latency distribution as the
 // query-level collector (internal/obs) measured it during the observed
 // benchmark scenario: percentiles out of the lock-free log-bucketed
@@ -82,6 +65,8 @@ type Latency struct {
 }
 
 // Report is the file-level JSON shape of one BENCH_*.json record.
+// Sections that Report no longer declares are ignored on Load, so older
+// records that still carry them keep decoding.
 type Report struct {
 	Scale       string       `json:"scale"`
 	GoVersion   string       `json:"go_version"`
@@ -89,7 +74,6 @@ type Report struct {
 	PlanCache   *PlanCache   `json:"plan_cache,omitempty"`
 	FlexCompile *FlexCompile `json:"flex_compile,omitempty"`
 	Matview     *Matview     `json:"matview,omitempty"`
-	Sharding    *Sharding    `json:"sharding,omitempty"`
 	Latency     []Latency    `json:"latency,omitempty"`
 }
 

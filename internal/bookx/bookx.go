@@ -49,7 +49,7 @@ type Service struct {
 // Setup creates the listing table.
 func Setup(db *relation.DB, cat *catalog.Store) (*Service, error) {
 	listings := relation.MustTable("BookListings",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("ListingID", relation.TypeInt),
 			relation.NotNullCol("BookID", relation.TypeInt),
 			relation.NotNullCol("SuID", relation.TypeInt),

@@ -147,13 +147,13 @@ type Store struct {
 func Setup(db *relation.DB) (*Store, error) {
 	tables := []*relation.Table{
 		relation.MustTable("Departments",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("DepID", relation.TypeString),
 				relation.NotNullCol("Name", relation.TypeString),
 				relation.NotNullCol("School", relation.TypeString),
 			), relation.WithPrimaryKey("DepID")),
 		relation.MustTable("Courses",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("CourseID", relation.TypeInt),
 				relation.NotNullCol("DepID", relation.TypeString),
 				relation.NotNullCol("Number", relation.TypeString),
@@ -165,7 +165,7 @@ func Setup(db *relation.DB) (*Store, error) {
 			// reference query; the index makes it a planner probe.
 			relation.WithIndex("Title")),
 		relation.MustTable("Offerings",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("OfferingID", relation.TypeInt),
 				relation.NotNullCol("CourseID", relation.TypeInt),
 				relation.NotNullCol("Year", relation.TypeInt),
@@ -179,18 +179,18 @@ func Setup(db *relation.DB) (*Store, error) {
 			// index as planner range scans instead of full scans.
 			relation.WithOrderedIndex("Year")),
 		relation.MustTable("Instructors",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("InstructorID", relation.TypeInt),
 				relation.NotNullCol("Name", relation.TypeString),
 				relation.NotNullCol("DepID", relation.TypeString),
 			), relation.WithPrimaryKey("InstructorID"), relation.WithAutoIncrement("InstructorID"), relation.WithIndex("DepID")),
 		relation.MustTable("Prereqs",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("CourseID", relation.TypeInt),
 				relation.NotNullCol("RequiresID", relation.TypeInt),
 			), relation.WithIndex("CourseID")),
 		relation.MustTable("Textbooks",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("BookID", relation.TypeInt),
 				relation.NotNullCol("CourseID", relation.TypeInt),
 				relation.NotNullCol("Title", relation.TypeString),

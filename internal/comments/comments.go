@@ -35,7 +35,7 @@ type Store struct {
 func Setup(db *relation.DB) (*Store, error) {
 	tables := []*relation.Table{
 		relation.MustTable("Comments",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("CommentID", relation.TypeInt),
 				relation.NotNullCol("SuID", relation.TypeInt),
 				relation.NotNullCol("CourseID", relation.TypeInt),
@@ -51,13 +51,13 @@ func Setup(db *relation.DB) (*Store, error) {
 			// answer both with one descending index walk, sort elided.
 			relation.WithOrderedIndex("Rating")),
 		relation.MustTable("Ratings",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("SuID", relation.TypeInt),
 				relation.NotNullCol("CourseID", relation.TypeInt),
 				relation.NotNullCol("Rating", relation.TypeFloat),
 			), relation.WithPrimaryKey("SuID", "CourseID"), relation.WithIndex("CourseID")),
 		relation.MustTable("CommentVotes",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("CommentID", relation.TypeInt),
 				relation.NotNullCol("SuID", relation.TypeInt),
 				relation.NotNullCol("Accurate", relation.TypeBool),

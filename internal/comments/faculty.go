@@ -34,14 +34,14 @@ type CourseNote struct {
 func (s *Store) SetupFaculty() error {
 	tables := []*relation.Table{
 		relation.MustTable("CommentResponses",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("ResponseID", relation.TypeInt),
 				relation.NotNullCol("CommentID", relation.TypeInt),
 				relation.NotNullCol("InstructorID", relation.TypeInt),
 				relation.NotNullCol("Text", relation.TypeString),
 			), relation.WithPrimaryKey("ResponseID"), relation.WithAutoIncrement("ResponseID"), relation.WithIndex("CommentID")),
 		relation.MustTable("CourseNotes",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("NoteID", relation.TypeInt),
 				relation.NotNullCol("CourseID", relation.TypeInt),
 				relation.NotNullCol("InstructorID", relation.TypeInt),

@@ -141,7 +141,7 @@ type Service struct {
 // directory.
 func Setup(db *relation.DB, dir *Directory) (*Service, error) {
 	users := relation.MustTable("Users",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("UserID", relation.TypeInt),
 			relation.NotNullCol("Username", relation.TypeString),
 			relation.NotNullCol("Name", relation.TypeString),
@@ -152,7 +152,7 @@ func Setup(db *relation.DB, dir *Directory) (*Service, error) {
 			relation.NotNullCol("SharePlans", relation.TypeBool),
 		), relation.WithPrimaryKey("UserID"), relation.WithAutoIncrement("UserID"), relation.WithIndex("Username"))
 	points := relation.MustTable("PointEvents",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("EventID", relation.TypeInt),
 			relation.NotNullCol("UserID", relation.TypeInt),
 			relation.NotNullCol("Kind", relation.TypeString),

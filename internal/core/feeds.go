@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"courserank/internal/matview"
-	"courserank/internal/shard"
 )
 
 // matviewWorkers sizes the site's background refresher pool. Two
@@ -92,48 +91,9 @@ func (s *Site) buildTopRatedFeed() (map[string][]FeedEntry, error) {
 	return rankFeed(out), nil
 }
 
-// buildTopRatedFeedSharded is the scatter-gather variant installed by
-// EnableSharding: every shard aggregates COUNT/SUM rating partials
-// over its own Comments partition in parallel (the Courses side of the
-// join is replicated, so the join never crosses shards), the cluster
-// merges the partials by group key, and the average — which does not
-// distribute — is finished here at the coordinator.
-func (s *Site) buildTopRatedFeedSharded(c *shard.Cluster) (map[string][]FeedEntry, error) {
-	res, err := c.Query(`SELECT c.DepID, c.CourseID, c.Title, COUNT(m.Rating), SUM(m.Rating)
-		FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID
-		GROUP BY c.DepID, c.CourseID, c.Title`)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string][]FeedEntry{}
-	for _, r := range res.Rows {
-		dep, _ := r[0].(string)
-		cid, _ := r[1].(int64)
-		title, _ := r[2].(string)
-		raters, _ := r[3].(int64)
-		if raters == 0 {
-			continue // a course whose comments carry no ratings
-		}
-		var sum float64
-		switch x := r[4].(type) {
-		case float64:
-			sum = x
-		case int64:
-			sum = float64(x)
-		default:
-			continue
-		}
-		out[dep] = append(out[dep], FeedEntry{
-			CourseID: cid, Title: title,
-			Avg: sum / float64(raters), Raters: raters,
-		})
-	}
-	return rankFeed(out), nil
-}
-
 // rankFeed sorts each department's list best-first (average rating
 // descending, course id as the tiebreak) and truncates to the per-
-// department cap — the shared tail of both feed builds.
+// department cap.
 func rankFeed(out map[string][]FeedEntry) map[string][]FeedEntry {
 	for dep, list := range out {
 		sort.Slice(list, func(a, b int) bool {

@@ -13,12 +13,11 @@ import "courserank/internal/obs"
 const slowLogDepth = 32
 
 // EnableObservability installs a query-level collector on the site's
-// SQL engine (and on every shard engine, when sharded): per-statement
-// latency histograms, transaction outcome counters, and a slow-query
-// log whose entries get ANALYZE-annotated plans back-filled. Durable
-// sites also wire WAL durability-wait attribution, so slow-log entries
-// split their latency into own-fsync vs group-commit-ride time.
-// Idempotent; returns the collector.
+// SQL engine: per-statement latency histograms, transaction outcome
+// counters, and a slow-query log whose entries get ANALYZE-annotated
+// plans back-filled. Durable sites also wire WAL durability-wait
+// attribution, so slow-log entries split their latency into own-fsync
+// vs group-commit-ride time. Idempotent; returns the collector.
 func (s *Site) EnableObservability() *obs.Collector {
 	if s.Obs != nil {
 		return s.Obs
@@ -32,11 +31,6 @@ func (s *Site) EnableObservability() *obs.Collector {
 		}
 	}
 	s.SQL.Observe(c)
-	if s.Sharded != nil {
-		for i := 0; i < s.Sharded.Shards(); i++ {
-			s.Sharded.Engine(i).Observe(c)
-		}
-	}
 	s.Obs = c
 	return c
 }
@@ -48,10 +42,5 @@ func (s *Site) DisableObservability() {
 		return
 	}
 	s.SQL.Observe(nil)
-	if s.Sharded != nil {
-		for i := 0; i < s.Sharded.Shards(); i++ {
-			s.Sharded.Engine(i).Observe(nil)
-		}
-	}
 	s.Obs = nil
 }

@@ -27,7 +27,6 @@ import (
 	"courserank/internal/relation"
 	"courserank/internal/requirements"
 	"courserank/internal/search"
-	"courserank/internal/shard"
 	"courserank/internal/sqlmini"
 	"courserank/internal/stats"
 )
@@ -59,10 +58,6 @@ type Site struct {
 	// Durable is the write-ahead-logged storage backend when the site
 	// was opened with NewDurableSite; nil for an ephemeral site.
 	Durable *relation.DurableStore
-
-	// Sharded is the scatter-gather cluster when EnableSharding was
-	// called; nil for a monolithic site.
-	Sharded *shard.Cluster
 
 	// Obs is the query-level observability collector when
 	// EnableObservability was called; nil (and costless) otherwise.
@@ -691,11 +686,11 @@ func floatParam(p map[string]any, key string, def float64) float64 {
 func (s *Site) RefreshDerived() error {
 	s.DB.Drop("EnrollmentPoints")
 	ep := relation.MustTable("EnrollmentPoints",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("SuID", relation.TypeInt),
 			relation.NotNullCol("CourseID", relation.TypeInt),
 			relation.NotNullCol("Points", relation.TypeFloat),
-		), relation.WithIndex("SuID"), relation.WithShardKey("SuID"))
+		), relation.WithIndex("SuID"))
 	if err := s.DB.Create(ep); err != nil {
 		return err
 	}
@@ -723,7 +718,7 @@ func (s *Site) RefreshDerived() error {
 	// an index probe under the SQL planner; the ordered index covers the
 	// "Year >= since" recency scope as a range scan.
 	cy := relation.MustTable("CourseYears",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("CourseID", relation.TypeInt),
 			relation.NotNullCol("Year", relation.TypeInt),
 		), relation.WithPrimaryKey("CourseID", "Year"), relation.WithIndex("Year"), relation.WithIndex("CourseID"),

@@ -385,10 +385,10 @@ func (r *Runner) Evolution() string {
 	return b.String()
 }
 
-// AblationFlexVsHardcoded compares the FlexRecs CF workflow with the
+// AblationFlexVsHandCoded compares the FlexRecs CF workflow with the
 // hard-coded recommender on identical inputs (A1): rankings must agree;
 // the report shows both top lists.
-func (r *Runner) AblationFlexVsHardcoded() (string, error) {
+func (r *Runner) AblationFlexVsHandCoded() (string, error) {
 	hard := r.Site.Baseline.UserUserCF(r.Man.SampleStudent, 15, 8, false)
 	tpl, _ := r.Site.Strategies.Get("cf-courses")
 	wf, err := tpl.Build(map[string]any{"student": r.Man.SampleStudent, "k": 8, "neighbors": 15})

@@ -137,7 +137,7 @@ func TestEvolutionReport(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	r := runner(t)
-	out, err := r.AblationFlexVsHardcoded()
+	out, err := r.AblationFlexVsHandCoded()
 	if err != nil {
 		t.Fatal(err)
 	}

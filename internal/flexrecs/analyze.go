@@ -6,26 +6,17 @@ import (
 	"time"
 
 	"courserank/internal/matview"
-	"courserank/internal/sqlmini"
 )
 
 // EXPLAIN ANALYZE for workflows: the workflow executes for real and
 // the report is Explain's operator tree annotated with per-step
-// actuals. SQL-compiled subtrees run through the backend's analyze
-// path when it has one — single-node statements and cluster statements
-// both do — so their lines carry the fully annotated physical plan
-// (per-operator rows/batches/time, shard fan-out, short-circuit).
+// actuals. SQL-compiled subtrees run through the statement's analyze
+// path, so their lines carry the fully annotated physical plan
+// (per-operator rows/batches/time, short-circuit).
 // Materialize steps report how THIS request was served: a matview hit
 // with the snapshot's age and freshness, a stale serve, or the build a
 // cold view paid. Step times are inclusive of the step's operands,
 // matching the SQL layer's convention.
-
-// queryAnalyzer is the optional analyze surface of a PreparedQuery.
-// *sqlmini.Stmt and *shard.Stmt both satisfy it; a backend whose
-// statements don't still analyzes, just without per-operator plans.
-type queryAnalyzer interface {
-	QueryAnalyze(args ...any) (*sqlmini.Result, string, error)
-}
 
 // analyzeNode is one rendered line of the report plus its children —
 // built bottom-up because a step's actuals are known only after its
@@ -97,8 +88,8 @@ func (e *Engine) analyzeStep(s *Step) (*Relation, *analyzeNode, error) {
 	return rel, node, nil
 }
 
-// analyzeSQL runs one compiled subtree, preferring the backend
-// statement's analyze path for the annotated physical plan.
+// analyzeSQL runs one compiled subtree through the statement's
+// analyze path for the annotated physical plan.
 func (e *Engine) analyzeSQL(s *Step) (*Relation, *analyzeNode, error) {
 	cs, err := e.compiledFor(s)
 	if err != nil {
@@ -108,14 +99,8 @@ func (e *Engine) analyzeSQL(s *Step) (*Relation, *analyzeNode, error) {
 	for i, j := 0, len(args)-1; i < j; i, j = i+1, j-1 {
 		args[i], args[j] = args[j], args[i]
 	}
-	var res *sqlmini.Result
-	var plan string
 	t0 := time.Now()
-	if qa, ok := cs.stmt.(queryAnalyzer); ok {
-		res, plan, err = qa.QueryAnalyze(args...)
-	} else {
-		res, err = cs.stmt.Query(args...)
-	}
+	res, plan, err := cs.stmt.QueryAnalyze(args...)
 	d := time.Since(t0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("flexrecs: executing %q: %w", cs.sql, err)

@@ -26,8 +26,7 @@ import (
 // string re-rendering AND the SQL engine's text-keyed cache lookup:
 // per request only argument gathering, bind and execute remain.
 type Engine struct {
-	sql     *sqlmini.Engine
-	backend Backend // executes compiled statements; defaults to the SQL engine
+	sql *sqlmini.Engine
 
 	compiled      sync.Map // shape fingerprint → *compiledSQL
 	compiledN     atomic.Int64
@@ -41,36 +40,11 @@ type Engine struct {
 	matMisses atomic.Uint64
 }
 
-// PreparedQuery is one prepared SELECT a backend hands back:
-// bind-and-execute, returning the materialized result. *sqlmini.Stmt
-// satisfies it, as does the shard layer's cluster statement.
-type PreparedQuery interface {
-	Query(args ...any) (*sqlmini.Result, error)
-}
-
-// Backend is where compiled workflow statements execute. The default
-// backend is the engine's own SQL engine; a sharded site substitutes
-// its scatter-gather cluster, so every compiled subtree routes —
-// shard-key-pinned fragments to one shard, the rest fanned out and
-// merged — without the workflow layer knowing.
-type Backend interface {
-	Prepare(sql string) (PreparedQuery, error)
-	Explain(sql string, args ...any) (string, error)
-}
-
-// sqlBackend adapts a *sqlmini.Engine to the Backend seam.
-type sqlBackend struct{ e *sqlmini.Engine }
-
-func (b sqlBackend) Prepare(sql string) (PreparedQuery, error) { return b.e.Prepare(sql) }
-func (b sqlBackend) Explain(sql string, args ...any) (string, error) {
-	return b.e.Explain(sql, args...)
-}
-
 // compiledSQL is one memoized sqlable subtree: its rendered statement
 // text and the prepared statement executing it.
 type compiledSQL struct {
 	sql  string
-	stmt PreparedQuery
+	stmt *sqlmini.Stmt
 }
 
 // compiledCacheMax bounds the shape cache. Deployed sites register a
@@ -89,25 +63,15 @@ func NewEngine(db *relation.DB) *Engine {
 // baseline recommenders and ad-hoc queries all reuse one plan per
 // statement text.
 func NewEngineOver(sql *sqlmini.Engine) *Engine {
-	return &Engine{sql: sql, backend: sqlBackend{sql}}
-}
-
-// NewEngineWithBackend builds an engine whose compiled statements
-// execute on backend instead of the SQL engine directly. The SQL
-// engine is still required: expression parsing, step-wise residual
-// evaluation and ForceScan parity run against it.
-func NewEngineWithBackend(sql *sqlmini.Engine, backend Backend) *Engine {
-	return &Engine{sql: sql, backend: backend}
+	return &Engine{sql: sql}
 }
 
 // ForceScan returns a workflow engine whose compiled statements execute
 // with the naive full-scan/nested-loop strategy — the forced side of
 // planner parity tests. The returned engine shares the database and is
-// safe to use concurrently with the planning engine. Forced execution
-// always runs on the local SQL engine, even for cluster-backed engines.
+// safe to use concurrently with the planning engine.
 func (e *Engine) ForceScan() *Engine {
-	forced := e.sql.ForceScan()
-	return &Engine{sql: forced, backend: sqlBackend{forced}}
+	return &Engine{sql: e.sql.ForceScan()}
 }
 
 // SQL exposes the underlying SQL engine (used by tests and the facade).
@@ -312,7 +276,7 @@ func (e *Engine) compiledFor(s *Step) (*compiledSQL, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := e.backend.Prepare(sql)
+	st, err := e.sql.Prepare(sql)
 	if err != nil {
 		return nil, fmt.Errorf("flexrecs: compiling %q: %w", sql, err)
 	}
@@ -993,7 +957,7 @@ func (e *Engine) explain(s *Step, depth int, b *strings.Builder) {
 		} else {
 			fmt.Fprintf(b, "%sSQL> %s\n", indent, sql)
 		}
-		if plan, err := e.backend.Explain(sql, args...); err == nil {
+		if plan, err := e.sql.Explain(sql, args...); err == nil {
 			for _, line := range strings.Split(strings.TrimRight(plan, "\n"), "\n") {
 				fmt.Fprintf(b, "%s  | %s\n", indent, line)
 			}

@@ -33,7 +33,7 @@ func TestChurnStaleBoundAndNoTornSnapshots(t *testing.T) {
 	)
 	db := relation.NewDB()
 	tbl := relation.MustTable("KV",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("ID", relation.TypeInt),
 			relation.NotNullCol("Val", relation.TypeInt),
 		), relation.WithPrimaryKey("ID"))
@@ -150,7 +150,7 @@ func TestChurnTableReplacement(t *testing.T) {
 	db := relation.NewDB()
 	mk := func(tag int64) *relation.Table {
 		tbl := relation.MustTable("KV",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("ID", relation.TypeInt),
 				relation.NotNullCol("Val", relation.TypeInt),
 			), relation.WithPrimaryKey("ID"))

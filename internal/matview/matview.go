@@ -513,36 +513,6 @@ func (r *Registry) register(o Options, reuse bool) (*View, error) {
 	return v, nil
 }
 
-// Replace swaps the definition registered under o.Name — build, deps
-// and serving options — publishing a fresh view with no snapshot, so
-// the next read pays one build under the new definition. Callers still
-// holding the old *View keep serving the old definition; lookups after
-// Replace see the new one. The site uses this to swap a feed build for
-// its sharded per-shard-partials variant when sharding is enabled.
-func (r *Registry) Replace(o Options) (*View, error) {
-	if o.Name == "" {
-		return nil, fmt.Errorf("matview: view needs a name")
-	}
-	if o.Build == nil {
-		return nil, fmt.Errorf("matview: view %q needs a Build function", o.Name)
-	}
-	if len(o.Deps) == 0 {
-		return nil, fmt.Errorf("matview: view %q needs at least one dependency table", o.Name)
-	}
-	v := &View{
-		reg:      r,
-		name:     o.Name,
-		deps:     append([]string(nil), o.Deps...),
-		mode:     o.Mode,
-		maxStale: o.MaxStale,
-		build:    o.Build,
-	}
-	r.mu.Lock()
-	r.views[o.Name] = v
-	r.mu.Unlock()
-	return v, nil
-}
-
 // reusable enforces the reuse contract: the existing view's serving
 // options must agree with the requested ones.
 func reusable(v *View, o Options) (*View, error) {

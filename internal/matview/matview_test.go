@@ -17,7 +17,7 @@ func kvDB(t testing.TB, n int) (*relation.DB, *relation.Table) {
 	t.Helper()
 	db := relation.NewDB()
 	tbl := relation.MustTable("KV",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("ID", relation.TypeInt),
 			relation.NotNullCol("Val", relation.TypeInt),
 		), relation.WithPrimaryKey("ID"))
@@ -377,7 +377,7 @@ func TestAbsentDependencyCaches(t *testing.T) {
 			serve.Kind, builds.Load())
 	}
 	tbl := relation.MustTable("KV",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("ID", relation.TypeInt),
 			relation.NotNullCol("Val", relation.TypeInt),
 		))

@@ -108,7 +108,7 @@ func (c *Collector) Stat(fingerprint string) *QueryStat {
 }
 
 // Record adds one execution: end-to-end latency, rows returned, the
-// route it took ("query", "exec", "tx", "fan-out", "http", ...), and
+// route it took ("query", "exec", "tx", "http", ...), and
 // whether it errored. Returns the accumulator so callers can reuse it.
 func (c *Collector) Record(fingerprint, route string, d time.Duration, rows int, errored bool) *QueryStat {
 	st := c.Stat(fingerprint)

@@ -13,7 +13,7 @@ func TestCollectorTopAndRoutes(t *testing.T) {
 		c.Record("SELECT fast", "query", 10*time.Microsecond, 1, false)
 	}
 	for i := 0; i < 5; i++ {
-		c.Record("SELECT slow", "fan-out", 5*time.Millisecond, 40, false)
+		c.Record("SELECT slow", "exec", 5*time.Millisecond, 40, false)
 	}
 	c.Record("SELECT erring", "query", time.Millisecond, 0, true)
 
@@ -21,7 +21,7 @@ func TestCollectorTopAndRoutes(t *testing.T) {
 	if len(top) != 2 || top[0].SQL != "SELECT slow" {
 		t.Fatalf("Top(2, p99) = %+v, want SELECT slow first", top)
 	}
-	if top[0].Route != "fan-out" || top[0].Rows != 200 || top[0].Count != 5 {
+	if top[0].Route != "exec" || top[0].Rows != 200 || top[0].Count != 5 {
 		t.Fatalf("slow summary wrong: %+v", top[0])
 	}
 	byTotal := c.Top(0, "total")
@@ -126,20 +126,5 @@ func TestCollectorTxCounts(t *testing.T) {
 	commits, conflicts, rollbacks := c.TxCounts()
 	if commits != 2 || conflicts != 1 || rollbacks != 1 {
 		t.Fatalf("tx counts = %d/%d/%d", commits, conflicts, rollbacks)
-	}
-}
-
-func TestTraceSpans(t *testing.T) {
-	tr := NewTrace()
-	end := tr.Start("phase-a")
-	time.Sleep(time.Millisecond)
-	end()
-	tr.Add("phase-b", time.Now(), 2*time.Millisecond)
-	spans := tr.Spans()
-	if len(spans) != 2 || spans[0].Name != "phase-a" || spans[0].DurNs <= 0 {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if s := tr.String(); s == "" {
-		t.Fatal("String() empty")
 	}
 }

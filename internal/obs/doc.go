@@ -1,7 +1,6 @@
 // Package obs is the query-observability layer: latency histograms,
-// a slow-query log, transaction-outcome counters, and trace spans,
-// shared by every execution layer (sqlmini statements, shard
-// scatter-gather, the HTTP handlers).
+// a slow-query log and transaction-outcome counters, shared by every
+// execution layer (sqlmini statements, the HTTP handlers).
 //
 // # Design
 //

@@ -102,7 +102,7 @@ func TestHistogramQuantileProperty(t *testing.T) {
 
 			// Concurrent recorders: half share one histogram, half get
 			// per-goroutine histograms merged afterwards — covering both
-			// the shared-fingerprint and the per-shard merge shapes.
+			// the shared-fingerprint and the merge shapes.
 			var shared Histogram
 			perGoroutine := make([]*Histogram, goroutines)
 			var wg sync.WaitGroup

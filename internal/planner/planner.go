@@ -35,7 +35,7 @@ type Store struct {
 // Setup creates the planner tables.
 func Setup(db *relation.DB, cat *catalog.Store) (*Store, error) {
 	enroll := relation.MustTable("Enrollments",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("SuID", relation.TypeInt),
 			relation.NotNullCol("CourseID", relation.TypeInt),
 			relation.NotNullCol("Year", relation.TypeInt),

@@ -69,7 +69,7 @@ type Service struct {
 func Setup(db *relation.DB, points PointAwarder, expert Expertise) (*Service, error) {
 	tables := []*relation.Table{
 		relation.MustTable("Questions",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("QID", relation.TypeInt),
 				relation.NotNullCol("SuID", relation.TypeInt),
 				relation.NotNullCol("Title", relation.TypeString),
@@ -79,7 +79,7 @@ func Setup(db *relation.DB, points PointAwarder, expert Expertise) (*Service, er
 				relation.NotNullCol("Seeded", relation.TypeBool),
 			), relation.WithPrimaryKey("QID"), relation.WithAutoIncrement("QID"), relation.WithIndex("DepID")),
 		relation.MustTable("Answers",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("AID", relation.TypeInt),
 				relation.NotNullCol("QID", relation.TypeInt),
 				relation.NotNullCol("SuID", relation.TypeInt),
@@ -88,7 +88,7 @@ func Setup(db *relation.DB, points PointAwarder, expert Expertise) (*Service, er
 				relation.NotNullCol("IsBest", relation.TypeBool),
 			), relation.WithPrimaryKey("AID"), relation.WithAutoIncrement("AID"), relation.WithIndex("QID")),
 		relation.MustTable("AnswerVotes",
-			relation.NewSchema(
+			relation.MustSchema(
 				relation.NotNullCol("AID", relation.TypeInt),
 				relation.NotNullCol("SuID", relation.TypeInt),
 			), relation.WithPrimaryKey("AID", "SuID")),

@@ -14,7 +14,7 @@ import (
 
 func kvTable() *Table {
 	return MustTable("KV",
-		NewSchema(NotNullCol("ID", TypeInt), Col("Val", TypeString), Col("Num", TypeInt)),
+		MustSchema(NotNullCol("ID", TypeInt), Col("Val", TypeString), Col("Num", TypeInt)),
 		WithPrimaryKey("ID"), WithAutoIncrement("ID"), WithIndex("Num"))
 }
 
@@ -180,7 +180,7 @@ func TestDurableDDLRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.MustCreate(kvTable())
-	db.MustCreate(MustTable("Gone", NewSchema(Col("X", TypeInt))))
+	db.MustCreate(MustTable("Gone", MustSchema(Col("X", TypeInt))))
 	db.MustTable("Gone").MustInsert(Row{int64(1)})
 	if !db.Drop("Gone") {
 		t.Fatal("drop failed")
@@ -211,7 +211,7 @@ func TestEnsureAdoptsAndRejects(t *testing.T) {
 	if again.Len() != 1 {
 		t.Fatal("adopted table lost rows")
 	}
-	bad := MustTable("KV", NewSchema(Col("Other", TypeString)))
+	bad := MustTable("KV", MustSchema(Col("Other", TypeString)))
 	if _, err := db.Ensure(bad); err == nil {
 		t.Fatal("Ensure accepted a mismatched schema")
 	}
@@ -290,7 +290,7 @@ func TestDurableConcurrentCommitters(t *testing.T) {
 	}
 	db.MustCreate(kvTable())
 	db.MustCreate(MustTable("Other",
-		NewSchema(NotNullCol("ID", TypeInt), Col("N", TypeInt)),
+		MustSchema(NotNullCol("ID", TypeInt), Col("N", TypeInt)),
 		WithPrimaryKey("ID"), WithAutoIncrement("ID")))
 	const writers, per = 6, 40
 	var wg sync.WaitGroup

@@ -8,7 +8,7 @@ import (
 
 func orderedTable(t *testing.T) *Table {
 	t.Helper()
-	tbl := MustTable("m", NewSchema(
+	tbl := MustTable("m", MustSchema(
 		NotNullCol("ID", TypeInt),
 		Col("Score", TypeInt),
 	), WithPrimaryKey("ID"), WithOrderedIndex("Score"))
@@ -147,7 +147,7 @@ func drainDesc(c *DescCursor) []Row {
 }
 
 func TestDescCursorOrderAndTies(t *testing.T) {
-	tbl := MustTable("d", NewSchema(
+	tbl := MustTable("d", MustSchema(
 		NotNullCol("ID", TypeInt),
 		Col("Score", TypeInt),
 	), WithPrimaryKey("ID"), WithOrderedIndex("Score"))

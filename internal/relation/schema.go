@@ -19,17 +19,31 @@ type Schema struct {
 	byName map[string]int
 }
 
-// NewSchema builds a schema from columns. Column names must be unique
-// (case-insensitively); NewSchema panics otherwise, since schemas are
-// program constants in this system.
-func NewSchema(cols ...Column) *Schema {
+// NewSchema builds a schema from columns. Column names must be
+// non-empty and unique case-insensitively; NewSchema reports an error
+// otherwise, so shapes read from SQL text or a snapshot header fail
+// closed.
+func NewSchema(cols ...Column) (*Schema, error) {
 	s := &Schema{cols: append([]Column(nil), cols...), byName: make(map[string]int, len(cols))}
 	for i, c := range s.cols {
+		if c.Name == "" {
+			return nil, fmt.Errorf("relation: column %d has an empty name", i+1)
+		}
 		key := strings.ToLower(c.Name)
 		if _, dup := s.byName[key]; dup {
-			panic(fmt.Sprintf("relation: duplicate column %q", c.Name))
+			return nil, fmt.Errorf("relation: duplicate column %q", c.Name)
 		}
 		s.byName[key] = i
+	}
+	return s, nil
+}
+
+// MustSchema is NewSchema that panics on error; for schemas that are
+// program constants.
+func MustSchema(cols ...Column) *Schema {
+	s, err := NewSchema(cols...)
+	if err != nil {
+		panic(err)
 	}
 	return s
 }

@@ -82,7 +82,11 @@ func tableFromHeader(head snapshotHeader) (*Table, error) {
 	for _, ix := range head.Ordered {
 		opts = append(opts, WithOrderedIndex(ix))
 	}
-	t, err := NewTable(head.Table, NewSchema(cols...), opts...)
+	schema, err := NewSchema(cols...)
+	if err != nil {
+		return nil, fmt.Errorf("table %s: %w", head.Table, err)
+	}
+	t, err := NewTable(head.Table, schema, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("table %s: %w", head.Table, err)
 	}

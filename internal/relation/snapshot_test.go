@@ -11,7 +11,7 @@ func snapshotDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
 	students, err := NewTable("Students",
-		NewSchema(NotNullCol("SuID", TypeInt), NotNullCol("Name", TypeString), Col("GPA", TypeFloat), Col("Active", TypeBool)),
+		MustSchema(NotNullCol("SuID", TypeInt), NotNullCol("Name", TypeString), Col("GPA", TypeFloat), Col("Active", TypeBool)),
 		WithPrimaryKey("SuID"), WithAutoIncrement("SuID"), WithIndex("Name"))
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +19,7 @@ func snapshotDB(t *testing.T) *DB {
 	db.MustCreate(students)
 	students.MustInsert(Row{nil, "Ann", 3.9, true})
 	students.MustInsert(Row{nil, "Bob", nil, false})
-	plain, err := NewTable("Plain", NewSchema(Col("X", TypeInt)))
+	plain, err := NewTable("Plain", MustSchema(Col("X", TypeInt)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +80,8 @@ func TestLoadErrors(t *testing.T) {
 		`{"table":"T","columns":[{"name":"A","type":"INT"}],"rows":1}`, // missing row
 		`not json`,
 		`{"table":"T","columns":[{"name":"A","type":"INT"}],"pk":["nope"],"rows":0}`,
+		`{"table":"T","columns":[{"name":"a","type":"INT"},{"name":"A","type":"TEXT"}],"rows":0}`, // duplicate column
+		`{"table":"T","columns":[{"name":"","type":"INT"}],"rows":0}`,                             // empty column name
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {
@@ -134,7 +136,7 @@ func TestSnapshotFixedPointProperty(t *testing.T) {
 	f := func(names []string, gpas []float64, flags []bool) bool {
 		db := NewDB()
 		tbl, err := NewTable("T",
-			NewSchema(NotNullCol("ID", TypeInt), Col("Name", TypeString), Col("GPA", TypeFloat), Col("Flag", TypeBool)),
+			MustSchema(NotNullCol("ID", TypeInt), Col("Name", TypeString), Col("GPA", TypeFloat), Col("Flag", TypeBool)),
 			WithPrimaryKey("ID"), WithAutoIncrement("ID"))
 		if err != nil {
 			return false

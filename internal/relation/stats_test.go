@@ -5,7 +5,7 @@ import "testing"
 func statsTable(t *testing.T) *Table {
 	t.Helper()
 	tbl := MustTable("People",
-		NewSchema(
+		MustSchema(
 			NotNullCol("ID", TypeInt),
 			NotNullCol("Dep", TypeString),
 			Col("Age", TypeInt),
@@ -49,7 +49,7 @@ func TestStatsIncremental(t *testing.T) {
 
 func TestStatsIgnoreNullBucket(t *testing.T) {
 	tbl := MustTable("Opt",
-		NewSchema(NotNullCol("ID", TypeInt), Col("Tag", TypeString)),
+		MustSchema(NotNullCol("ID", TypeInt), Col("Tag", TypeString)),
 		WithPrimaryKey("ID"), WithIndex("Tag"))
 	tbl.MustInsert(Row{int64(1), "a"})
 	tbl.MustInsert(Row{int64(2), nil})

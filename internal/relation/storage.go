@@ -73,10 +73,6 @@ type TxStorage interface {
 	// LogTxAbort appends an abort record for tx (advisory: replay
 	// ignores uncommitted transactions with or without it).
 	LogTxAbort(tx uint64) (lsn uint64, err error)
-	// SyncConfirms reports whether WaitDurable returning nil means the
-	// data is actually on stable storage (true for synchronous commit
-	// policies, false when a background flusher catches up later).
-	SyncConfirms() bool
 }
 
 // MutKind discriminates the row effects a statement applied.

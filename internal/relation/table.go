@@ -122,8 +122,6 @@ type Table struct {
 	ordered map[string]*orderedIndex
 	autoCol int
 	nextAut int64
-	shardCol int           // -1 = no declared shard key (see shard.go)
-	obs      []RowObserver // committed-mutation observers (see shard.go)
 	version uint64
 	epoch   uint64
 	store   atomic.Pointer[storageBox] // nil = ephemeral (memory-only) backend
@@ -134,13 +132,6 @@ type Table struct {
 	// GC. Empty vslots is the fast path: every slot is plain and reads
 	// skip version resolution.
 	vslots map[int]struct{}
-
-	// Deferred observer delivery for durable tables (see shard.go):
-	// mutations queue under nqMu (taken inside mu) and deliver under
-	// notifyMu once their WAL record is confirmed.
-	nqMu     sync.Mutex
-	nq       []queuedNotify
-	notifyMu sync.Mutex
 }
 
 // Version returns a counter that increases on every mutation (insert,
@@ -188,13 +179,12 @@ func (t *Table) ViewFingerprint() (epoch, version uint64) {
 // NewTable constructs an empty table with the given name and schema.
 func NewTable(name string, schema *Schema, opts ...TableOption) (*Table, error) {
 	t := &Table{
-		name:     name,
-		schema:   schema,
-		indexes:  make(map[string]*secondaryIndex),
-		ordered:  make(map[string]*orderedIndex),
-		autoCol:  -1,
-		nextAut:  1,
-		shardCol: -1,
+		name:    name,
+		schema:  schema,
+		indexes: make(map[string]*secondaryIndex),
+		ordered: make(map[string]*orderedIndex),
+		autoCol: -1,
+		nextAut: 1,
 	}
 	for _, opt := range opts {
 		if err := opt(t); err != nil {
@@ -342,10 +332,9 @@ func (t *Table) Insert(row Row) (int, error) {
 	}
 	seq, _ := t.clock.alloc()
 	t.mu.Lock()
-	slot, r, err := t.insertLocked(row)
+	slot, _, err := t.insertLocked(row)
 	if err == nil {
 		t.meta[slot].begin = seq
-		t.notifyLocked(MutInsert, nil, r)
 	}
 	t.mu.Unlock()
 	t.clock.complete(seq)
@@ -371,7 +360,6 @@ func (t *Table) InsertGet(row Row) (Row, error) {
 		return nil, err
 	}
 	t.meta[slot].begin = seq
-	t.notifyLocked(MutInsert, nil, r)
 	clone := r.Clone()
 	t.mu.Unlock()
 	t.clock.complete(seq)
@@ -380,7 +368,6 @@ func (t *Table) InsertGet(row Row) (Row, error) {
 
 // insertDurable applies an insert and journals it following the
 // Storage protocol (see storage.go). The returned row is a copy.
-// Observer delivery waits for the WAL confirmation (see shard.go).
 func (t *Table) insertDurable(s Storage, row Row) (int, Row, error) {
 	s.BeginMutate()
 	seq, _ := t.clock.alloc()
@@ -401,14 +388,11 @@ func (t *Table) insertDurable(s Storage, row Row) (int, Row, error) {
 		return 0, nil, err
 	}
 	t.meta[slot].begin = seq
-	t.queueNotifyLocked(lsn, MutInsert, nil, r)
 	clone := r.Clone()
 	t.mu.Unlock()
 	t.clock.complete(seq)
 	s.EndMutate()
-	werr := s.WaitDurable(lsn)
-	t.flushNotifies(lsn, werr, s)
-	return slot, clone, werr
+	return slot, clone, s.WaitDurable(lsn)
 }
 
 // MustInsert inserts and panics on error; for generator/loader code paths
@@ -865,10 +849,9 @@ func (t *Table) UpdateByKey(key []Value, set func(Row) Row) error {
 	}
 	seq, keep := t.clock.alloc()
 	t.mu.Lock()
-	slot, old, repl, node, err := t.updateByKeyLocked(key, set, keep)
+	slot, _, _, node, err := t.updateByKeyLocked(key, set, keep)
 	if err == nil {
 		t.sealUpdateLocked(slot, node, seq)
-		t.notifyLocked(MutUpdate, old, repl)
 	}
 	t.mu.Unlock()
 	t.clock.complete(seq)
@@ -899,13 +882,10 @@ func (t *Table) updateByKeyDurable(s Storage, key []Value, set func(Row) Row) er
 		return err
 	}
 	t.sealUpdateLocked(slot, node, seq)
-	t.queueNotifyLocked(lsn, MutUpdate, old, repl)
 	t.mu.Unlock()
 	t.clock.complete(seq)
 	s.EndMutate()
-	werr := s.WaitDurable(lsn)
-	t.flushNotifies(lsn, werr, s)
-	return werr
+	return s.WaitDurable(lsn)
 }
 
 // sealUpdateLocked stamps an applied autocommit update with its commit
@@ -1016,13 +996,10 @@ func (t *Table) UpdateWhere(pred func(Row) bool, set func(Row) Row) (int, error)
 	if sb == nil {
 		seq, keep := t.clock.alloc()
 		t.mu.Lock()
-		// Effects are collected only when an observer needs the pre/post
-		// image pairs; the unobserved path keeps its zero-allocation shape.
-		n, muts, undo, ups, err := t.updateWhereLocked(pred, set, t.observedLocked(), keep)
+		n, _, _, ups, err := t.updateWhereLocked(pred, set, false, keep)
 		for _, u := range ups {
 			t.sealUpdateLocked(u.slot, u.node, seq)
 		}
-		t.notifyUpdatesLocked(muts, undo)
 		t.mu.Unlock()
 		t.clock.complete(seq)
 		return n, err
@@ -1055,14 +1032,10 @@ func (t *Table) UpdateWhere(pred func(Row) bool, set func(Row) Row) (int, error)
 	for _, u := range ups {
 		t.sealUpdateLocked(u.slot, u.node, seq)
 	}
-	for i := range muts {
-		t.queueNotifyLocked(lsn, MutUpdate, undo[i].Row, muts[i].Row)
-	}
 	t.mu.Unlock()
 	t.clock.complete(seq)
 	s.EndMutate()
 	werr := s.WaitDurable(lsn)
-	t.flushNotifies(lsn, werr, s)
 	if uerr == nil {
 		uerr = werr
 	}
@@ -1169,22 +1142,18 @@ func (t *Table) DeleteWhere(pred func(Row) bool) (int, error) {
 		seq, keep := t.clock.alloc()
 		t.mu.Lock()
 		if !keep && t.sweptPlainLocked() {
-			n, _, undo := t.deleteWhereLocked(pred, t.observedLocked())
-			t.notifyDeletesLocked(undo)
+			n, _, _ := t.deleteWhereLocked(pred, false)
 			t.mu.Unlock()
 			t.clock.complete(seq)
 			return n, nil
 		}
-		slots, pre, err := t.deleteWhereVersionedLocked(pred)
+		slots, err := t.deleteWhereVersionedLocked(pred)
 		if err != nil {
 			t.mu.Unlock()
 			t.clock.complete(seq)
 			return 0, err
 		}
 		t.sealDeletesLocked(slots, seq)
-		for _, r := range pre {
-			t.notifyLocked(MutDelete, r, nil)
-		}
 		t.mu.Unlock()
 		t.clock.complete(seq)
 		return len(slots), nil
@@ -1209,19 +1178,14 @@ func (t *Table) DeleteWhere(pred func(Row) bool) (int, error) {
 			s.EndMutate()
 			return 0, err
 		}
-		for _, u := range undo {
-			t.queueNotifyLocked(lsn, MutDelete, u.Row, nil)
-		}
 		t.mu.Unlock()
 		t.clock.complete(seq)
 		s.EndMutate()
-		werr := s.WaitDurable(lsn)
-		t.flushNotifies(lsn, werr, s)
-		return n, werr
+		return n, s.WaitDurable(lsn)
 	}
 	// Version-retaining path: nothing is applied until the WAL accepts
 	// the record, so a rejection needs no undo.
-	slots, pre, err := t.deleteWhereVersionedLocked(pred)
+	slots, err := t.deleteWhereVersionedLocked(pred)
 	if err != nil || len(slots) == 0 {
 		t.mu.Unlock()
 		t.clock.complete(seq)
@@ -1240,15 +1204,10 @@ func (t *Table) DeleteWhere(pred func(Row) bool) (int, error) {
 		return 0, err
 	}
 	t.sealDeletesLocked(slots, seq)
-	for _, r := range pre {
-		t.queueNotifyLocked(lsn, MutDelete, r, nil)
-	}
 	t.mu.Unlock()
 	t.clock.complete(seq)
 	s.EndMutate()
-	werr := s.WaitDurable(lsn)
-	t.flushNotifies(lsn, werr, s)
-	return len(slots), werr
+	return len(slots), s.WaitDurable(lsn)
 }
 
 // sweptPlainLocked sweeps residue and reports whether every slot came
@@ -1263,9 +1222,8 @@ func (t *Table) sweptPlainLocked() bool {
 // deleteWhereVersionedLocked collects the latest-visible rows matching
 // pred without applying anything; sealDeletesLocked makes them dead.
 // A matching row staged by an open transaction aborts the statement.
-func (t *Table) deleteWhereVersionedLocked(pred func(Row) bool) ([]int, []Row, error) {
+func (t *Table) deleteWhereVersionedLocked(pred func(Row) bool) ([]int, error) {
 	var slots []int
-	var pre []Row
 	for slot := range t.rows {
 		cur := t.visibleLocked(slot, LatestSnap())
 		if cur == nil || !pred(cur) {
@@ -1273,12 +1231,11 @@ func (t *Table) deleteWhereVersionedLocked(pred func(Row) bool) ([]int, []Row, e
 		}
 		if m := &t.meta[slot]; m.btx != 0 || m.etx != 0 {
 			t.countConflict()
-			return nil, nil, fmt.Errorf("relation: table %s slot %d staged by an open transaction: %w", t.name, slot, ErrTxConflict)
+			return nil, fmt.Errorf("relation: table %s slot %d staged by an open transaction: %w", t.name, slot, ErrTxConflict)
 		}
 		slots = append(slots, slot)
-		pre = append(pre, cur)
 	}
-	return slots, pre, nil
+	return slots, nil
 }
 
 // sealDeletesLocked stamps the collected slots dead at seq, retaining

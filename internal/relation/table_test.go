@@ -10,7 +10,7 @@ import (
 func studentsTable(t *testing.T) *Table {
 	t.Helper()
 	tbl, err := NewTable("Students",
-		NewSchema(NotNullCol("SuID", TypeInt), NotNullCol("Name", TypeString), Col("Class", TypeString), Col("GPA", TypeFloat)),
+		MustSchema(NotNullCol("SuID", TypeInt), NotNullCol("Name", TypeString), Col("Class", TypeString), Col("GPA", TypeFloat)),
 		WithPrimaryKey("SuID"), WithAutoIncrement("SuID"), WithIndex("Class"))
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestSelectWhere(t *testing.T) {
 }
 
 func TestTableOptionErrors(t *testing.T) {
-	sch := NewSchema(Col("A", TypeInt), Col("B", TypeString))
+	sch := MustSchema(Col("A", TypeInt), Col("B", TypeString))
 	if _, err := NewTable("t", sch, WithPrimaryKey("nope")); err == nil {
 		t.Error("bad PK column should fail")
 	}
@@ -352,7 +352,7 @@ func TestMustTablePanics(t *testing.T) {
 }
 
 func TestSchemaBasics(t *testing.T) {
-	s := NewSchema(Col("A", TypeInt), NotNullCol("B", TypeString))
+	s := MustSchema(Col("A", TypeInt), NotNullCol("B", TypeString))
 	if s.Len() != 2 {
 		t.Fatal("Len")
 	}
@@ -373,5 +373,5 @@ func TestSchemaBasics(t *testing.T) {
 			t.Error("duplicate column should panic")
 		}
 	}()
-	NewSchema(Col("x", TypeInt), Col("X", TypeInt))
+	MustSchema(Col("x", TypeInt), Col("X", TypeInt))
 }

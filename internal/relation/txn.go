@@ -129,13 +129,6 @@ type txClock struct {
 	committed atomic.Uint64
 	aborted   atomic.Uint64
 	conflicts atomic.Uint64
-
-	// Observer-delivery accounting for the durable notify reorder (see
-	// table.go flushNotifies): deliveries made before the fsync was
-	// confirmed (async commit policy), and deliveries dropped because
-	// the WAL rejected the commit.
-	notifyUnconfirmed atomic.Uint64
-	notifyDropped     atomic.Uint64
 }
 
 func newTxClock() *txClock {
@@ -263,12 +256,14 @@ func (db *DB) TxStats() TxStats {
 	}
 }
 
-// NotifyStats reports the durable observer-delivery accounting: how
-// many notifications were delivered before their fsync was confirmed
-// (async commit policy — the write-through window), and how many were
-// dropped because the WAL rejected their records.
+// NotifyStats always returns (0, 0). It counted row-observer
+// notifications delivered before their fsync was confirmed, or dropped
+// because the WAL rejected their records; the only observers were the
+// write-through copies of the in-process sharding layer, which is gone,
+// so there is nothing left to count. It stays because the serving
+// benchmark's counter snapshot calls it.
 func (db *DB) NotifyStats() (unconfirmed, dropped uint64) {
-	return db.clock.notifyUnconfirmed.Load(), db.clock.notifyDropped.Load()
+	return 0, 0
 }
 
 // Tx is a snapshot-isolation transaction over one DB. Reads see the
@@ -301,10 +296,9 @@ type txSlotKey struct {
 // txEffect is this transaction's net effect on one slot.
 type txEffect struct {
 	t      *Table
-	kind   MutKind     // MutInsert / MutUpdate / MutDelete
+	kind   MutKind // MutInsert / MutUpdate / MutDelete
 	slot   int
 	node   *rowVersion // update: the chain node holding the superseded version
-	before Row         // committed pre-image for observers (update/delete)
 	erased bool        // insert later deleted by this same tx: commit to a dead version
 
 	// A staged insert/rekey can displace a primary-key mapping that a
@@ -559,7 +553,7 @@ func (tx *Tx) stageUpdateLocked(t *Table, slot int, repl Row) error {
 	t.rows[slot] = repl
 	*m = slotMeta{btx: tx.id, prev: node}
 	t.vslotAdd(slot)
-	tx.record(&txEffect{t: t, kind: MutUpdate, slot: slot, node: node, before: old,
+	tx.record(&txEffect{t: t, kind: MutUpdate, slot: slot, node: node,
 		pkDisplaced: displaced, pkKey: newKey, pkPrev: prevSlot})
 	return nil
 }
@@ -595,7 +589,7 @@ func (tx *Tx) DeleteWhere(t *Table, pred func(Row) bool) (int, error) {
 				e.kind = MutDelete
 			}
 		} else {
-			tx.record(&txEffect{t: t, kind: MutDelete, slot: slot, before: t.rows[slot]})
+			tx.record(&txEffect{t: t, kind: MutDelete, slot: slot})
 		}
 		muts = append(muts, Mutation{Kind: MutDelete, Slot: slot})
 		n++
@@ -678,14 +672,12 @@ func (tx *Tx) Commit() error {
 				}
 				t.live++
 				t.version++
-				t.queueNotifyLocked(commitLSN, MutInsert, nil, t.rows[e.slot])
 			case MutUpdate:
 				m.begin, m.btx = seq, 0
 				if e.node != nil {
 					e.node.end = seq
 				}
 				t.version++
-				t.queueNotifyLocked(commitLSN, MutUpdate, e.before, t.rows[e.slot])
 			case MutDelete:
 				if m.btx == tx.id { // delete of our own staged update
 					m.begin, m.btx = seq, 0
@@ -696,7 +688,6 @@ func (tx *Tx) Commit() error {
 				m.end, m.etx = seq, 0
 				t.live--
 				t.version++
-				t.queueNotifyLocked(commitLSN, MutDelete, e.before, nil)
 			}
 			t.vslotAdd(e.slot)
 		}
@@ -709,9 +700,6 @@ func (tx *Tx) Commit() error {
 	var err error
 	if tx.gate != nil && commitLSN != 0 {
 		err = tx.gate.WaitDurable(commitLSN)
-	}
-	for t := range tx.tables {
-		t.flushNotifies(commitLSN, err, tx.gate)
 	}
 	tx.releaseGate()
 	return err

@@ -12,7 +12,6 @@ import (
 	"courserank/internal/matview"
 	"courserank/internal/obs"
 	"courserank/internal/relation"
-	"courserank/internal/shard"
 )
 
 // The observability surface: a typed /api/stats payload (so the key
@@ -24,8 +23,8 @@ import (
 // without it the endpoints say so instead of guessing.
 
 // statsPayload is the /api/stats response. Every field below without
-// omitempty is always present; durability, walWait and sharding appear
-// on durable and sharded deployments respectively.
+// omitempty is always present; durability and walWait appear on
+// durable deployments.
 type statsPayload struct {
 	PlanCache       planCacheSection       `json:"planCache"`
 	FlexCompile     flexCompileSection     `json:"flexCompile"`
@@ -35,7 +34,6 @@ type statsPayload struct {
 	Transactions    txSection              `json:"transactions"`
 	Durability      *relation.DurableStats `json:"durability,omitempty"`
 	WALWait         *walWaitSection        `json:"walWait,omitempty"`
-	Sharding        *shard.Stats           `json:"sharding,omitempty"`
 }
 
 type planCacheSection struct {
@@ -68,12 +66,10 @@ type matviewSection struct {
 }
 
 type txSection struct {
-	Active            int64  `json:"active"`
-	Committed         uint64 `json:"committed"`
-	Aborted           uint64 `json:"aborted"`
-	Conflicts         uint64 `json:"conflicts"`
-	NotifyUnconfirmed uint64 `json:"notifyUnconfirmed"`
-	NotifyDropped     uint64 `json:"notifyDropped"`
+	Active    int64  `json:"active"`
+	Committed uint64 `json:"committed"`
+	Aborted   uint64 `json:"aborted"`
+	Conflicts uint64 `json:"conflicts"`
 
 	// Observed is the query-level collector's view — transactions that
 	// ran through observed statement handles — when observability is on.
@@ -115,7 +111,6 @@ func (s *Server) statsSnapshot() statsPayload {
 	fh, fm := s.site.Flex.CompileStats()
 	mh, mst, mm := s.site.Flex.MatStats()
 	tst := s.site.DB.TxStats()
-	unconfirmed, dropped := s.site.DB.NotifyStats()
 	out := statsPayload{
 		PlanCache: planCacheSection{
 			Hits:          cs.Hits,
@@ -129,12 +124,10 @@ func (s *Server) statsSnapshot() statsPayload {
 		Matviews:        matviewSectionOf(s.site.Views.Stats()),
 		Scale:           s.site.Scale(),
 		Transactions: txSection{
-			Active:            tst.Active,
-			Committed:         tst.Committed,
-			Aborted:           tst.Aborted,
-			Conflicts:         tst.Conflicts,
-			NotifyUnconfirmed: unconfirmed,
-			NotifyDropped:     dropped,
+			Active:    tst.Active,
+			Committed: tst.Committed,
+			Aborted:   tst.Aborted,
+			Conflicts: tst.Conflicts,
 		},
 	}
 	if c := s.site.Obs; c != nil {
@@ -150,10 +143,6 @@ func (s *Server) statsSnapshot() statsPayload {
 			Syncs:      ds.WAL.Syncs,
 			GroupRides: ds.WAL.GroupRides,
 		}
-	}
-	if s.site.Sharded != nil {
-		ss := s.site.Sharded.Stats()
-		out.Sharding = &ss
 	}
 	return out
 }
@@ -212,8 +201,7 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request, _ communi
 // handleAnalyze is EXPLAIN ANALYZE for a recommendation strategy: the
 // workflow executes for real and the response is its operator tree
 // annotated with per-step actuals, each compiled subtree carrying the
-// SQL engine's per-operator instrumentation (and, on sharded sites,
-// the fan-out's per-shard breakdown).
+// SQL engine's per-operator instrumentation.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, u community.User) {
 	strategy := r.PathValue("strategy")
 	tpl, ok := s.site.Strategies.Get(strategy)

@@ -57,7 +57,7 @@ func TestStatsPayloadGoldenKeys(t *testing.T) {
 	if got := keysOf(out); !reflect.DeepEqual(got, want) {
 		t.Errorf("plain site stats keys = %v, want %v", got, want)
 	}
-	wantTx := []string{"aborted", "active", "committed", "conflicts", "notifyDropped", "notifyUnconfirmed"}
+	wantTx := []string{"aborted", "active", "committed", "conflicts"}
 	if got := keysOf(out["transactions"].(map[string]any)); !reflect.DeepEqual(got, wantTx) {
 		t.Errorf("transactions keys = %v, want %v", got, wantTx)
 	}

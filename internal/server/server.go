@@ -368,9 +368,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, u communi
 // build), transaction health, plus the deployment scale. Durable sites
 // additionally expose "durability" (WAL, pager and checkpoint
 // counters) and "walWait" (own-fsync vs group-commit-ride wait
-// attribution); sharded sites expose "sharding" (routing health). The
-// payload is the typed statsPayload in observe.go — its key set is the
-// API contract.
+// attribution). The payload is the typed statsPayload in observe.go —
+// its key set is the API contract.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ community.User) {
 	writeJSON(w, http.StatusOK, s.statsSnapshot())
 }

@@ -354,69 +354,17 @@ func TestStatsEndpoint(t *testing.T) {
 	if _, ok := out["durability"]; ok {
 		t.Errorf("memory-backed site should not report durability: %v", out["durability"])
 	}
-	if _, ok := out["sharding"]; ok {
-		t.Errorf("monolithic site should not report sharding: %v", out["sharding"])
-	}
 	tx, ok := out["transactions"].(map[string]any)
 	if !ok {
 		t.Fatalf("no transactions in %v", out)
 	}
-	for _, key := range []string{"active", "committed", "aborted", "conflicts", "notifyUnconfirmed", "notifyDropped"} {
+	for _, key := range []string{"active", "committed", "aborted", "conflicts"} {
 		if _, ok := tx[key]; !ok {
 			t.Errorf("transactions missing %q: %v", key, tx)
 		}
 	}
 	if active := tx["active"].(float64); active != 0 {
 		t.Errorf("idle site reports %v active transactions", active)
-	}
-}
-
-// TestShardedStatsEndpoint: a sharded site's /api/stats grows a
-// sharding section with the shard count, per-shard row totals and the
-// routing counters.
-func TestShardedStatsEndpoint(t *testing.T) {
-	site, err := core.NewSite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := datagen.Populate(site, datagen.Tiny()); err != nil {
-		t.Fatal(err)
-	}
-	if err := site.EnableSharding(2); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(site))
-	t.Cleanup(ts.Close)
-	t.Cleanup(site.Close)
-
-	// Move the routing counters: a feed request rebuilds the view
-	// through the cluster's combine-merge fan-out.
-	if _, _, err := site.TopRatedFeed("CS", 5); err != nil {
-		t.Fatal(err)
-	}
-
-	token := login(t, ts, "stu00001")
-	resp, err := http.Get(ts.URL + "/api/stats?token=" + token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := decode[map[string]any](t, resp)
-	sh, ok := out["sharding"].(map[string]any)
-	if !ok {
-		t.Fatalf("no sharding section in %v", out)
-	}
-	if sh["shards"].(float64) != 2 {
-		t.Errorf("shards = %v, want 2", sh["shards"])
-	}
-	if rows, ok := sh["rows_per_shard"].([]any); !ok || len(rows) != 2 {
-		t.Errorf("rows_per_shard = %v, want one total per shard", sh["rows_per_shard"])
-	}
-	if sh["fan_out"].(float64) == 0 || sh["merge_combine"].(float64) == 0 {
-		t.Errorf("feed rebuild moved no fan-out counters: %v", sh)
-	}
-	parts, ok := sh["partitioned_tables"].([]any)
-	if !ok || len(parts) == 0 {
-		t.Errorf("no partitioned tables reported: %v", sh)
 	}
 }
 

@@ -139,25 +139,14 @@ func (e *Engine) analyzeEntry(en *cacheEntry, args []any) (*Result, string, erro
 
 // QueryAnalyze executes the prepared SELECT with per-operator
 // instrumentation, returning both the result and the annotated plan —
-// the building block shard fan-out and slow-log plan capture use to
-// analyze without running the query twice.
+// the building block slow-log plan capture uses to analyze without
+// running the query twice.
 func (s *Stmt) QueryAnalyze(args ...any) (*Result, string, error) {
 	en, err := s.current()
 	if err != nil {
 		return nil, "", err
 	}
 	return s.e.analyzeEntry(en, args)
-}
-
-// QueryAnalyzeWindow is QueryAnalyze with the statement's LIMIT/OFFSET
-// overridden the way QueryWindow does it — how a shard fan-out
-// analyzes its per-shard legs without the global window.
-func (s *Stmt) QueryAnalyzeWindow(limit, offset int64, args ...any) (*Result, string, error) {
-	en, err := s.current()
-	if err != nil {
-		return nil, "", err
-	}
-	return s.e.analyzeEntry(windowEntry(en, limit, offset), args)
 }
 
 // ExplainAnalyze executes the prepared SELECT and renders its plan

@@ -186,18 +186,13 @@
 // rows are post-predicate, so driver-line rows minus filter-line rows
 // is the filter's kill count.
 //
-// Layers above decorate the same trees rather than reinvent them: the
-// shard coordinator's ExplainAnalyze prefixes a route report (single
-// shard vs fan-out, per-shard rows and time, merge kind, and the
-// short-circuit line showing the LIMIT+OFFSET window each shard was
-// cut to) above a representative shard's annotated plan, and the
-// FlexRecs engine's RunAnalyze nests each compiled statement's
-// annotated tree under its workflow step, tagging materialize steps
-// with hit/stale/miss and the served view's age. Caveat: times are
-// wall clock on whatever the scheduler gave the query — parallel
-// shard fan-out can report per-shard times that sum to more than the
-// route total, and a loaded box inflates everything. Compare rows
-// across runs, times only within one.
+// The FlexRecs engine's RunAnalyze decorates the same trees rather
+// than reinventing them: it nests each compiled statement's annotated
+// tree under its workflow step, tagging materialize steps with
+// hit/stale/miss and the served view's age. Caveat: times are wall
+// clock on whatever the scheduler gave the query, and a loaded box
+// inflates everything. Compare rows across runs, times only within
+// one.
 //
 // # View fingerprints vs plan-cache fingerprints
 //
@@ -269,31 +264,15 @@
 // snapshot, after which version garbage collection may reclaim the row
 // versions the cursor was positioned over.
 //
-// # Cross-shard order contracts
+// # Order contract
 //
-// The scatter-gather layer (internal/shard) runs one prepared Stmt of
-// this engine per shard and leans on two contracts this executor
-// already keeps:
-//
-//   - KEY ORDER IS REAL: a statement with ORDER BY yields rows in
-//     exactly that key order (whether sorted or elided into an ordered
-//     index walk), so the coordinator can merge N per-shard streams
-//     with a plain heads-compare — no re-sort — provided every ORDER
-//     BY key is an output column it can read back. The coordinator's
-//     tie order is shard arrival, not this engine's stable slot order;
-//     queries needing bitwise-reproducible cross-shard order must pin
-//     a total order (end the ORDER BY in a key unique per row).
-//   - LIMIT/OFFSET ARE WINDOW PUSHDOWNS: Stmt.QueryWindow overrides a
-//     statement's LIMIT/OFFSET per execution, letting the coordinator
-//     fetch limit+offset rows from EVERY shard (any shard might hold
-//     the whole window) and apply the global window after the merge,
-//     while streaming early-Close cancels the still-running shards.
-//
-// Aggregates distribute only when they combine: COUNT/SUM/MIN/MAX
-// partials merge by group key at the coordinator; AVG, HAVING and
-// expression-valued ORDER BY keys do not decompose and are refused at
-// fan-out (they still execute when a shard-key predicate pins the
-// statement to one shard). Distributed float SUMs reassociate
-// addition, so cross-shard float aggregates are equal only to
-// tolerance, not bitwise.
+// A statement with ORDER BY yields rows in exactly that key order,
+// whether it sorted them or elided the sort into an ordered index
+// walk. Rows with equal keys come out in slot-ascending order on both
+// paths, which is what lets the planner ≡ ForceScan parity tests
+// compare ordered results bitwise. Slots are reused after deletes, so
+// a caller that needs a tie order stable across writes ends the ORDER
+// BY in a key unique per row. LIMIT and OFFSET apply after the order;
+// over a pipeline whose order is already final the limit streams and
+// stops the work below it once the window is full.
 package sqlmini

@@ -228,3 +228,25 @@ func TestOffsetBeyondEnd(t *testing.T) {
 		t.Errorf("limit 0 rows = %v", res.Rows)
 	}
 }
+
+// TestCreateTableRejectsBadColumns: a CREATE TABLE whose column names
+// collide case-insensitively, or are empty, is an error rather than a
+// panic, and leaves the database without the table.
+func TestCreateTableRejectsBadColumns(t *testing.T) {
+	e := New(relation.NewDB())
+	for _, sql := range []string{
+		`CREATE TABLE t (a INT, A TEXT)`,
+		`CREATE TABLE t (a INT, b TEXT, a INT)`,
+		`CREATE TABLE t ("" INT)`,
+	} {
+		if _, err := e.Exec(sql); err == nil {
+			t.Errorf("%s: want an error", sql)
+		}
+		if _, ok := e.DB().Table("t"); ok {
+			t.Fatalf("%s: table t exists after the failed CREATE", sql)
+		}
+	}
+	if _, err := e.Exec(`CREATE TABLE t (a INT, b TEXT)`); err != nil {
+		t.Fatalf("valid CREATE after the rejected ones: %v", err)
+	}
+}

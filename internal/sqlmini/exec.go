@@ -741,7 +741,11 @@ func (e *Engine) execCreate(st *CreateStmt) error {
 	for _, ix := range st.Ordered {
 		opts = append(opts, relation.WithOrderedIndex(ix))
 	}
-	t, err := relation.NewTable(st.Table, relation.NewSchema(st.Cols...), opts...)
+	schema, err := relation.NewSchema(st.Cols...)
+	if err != nil {
+		return err
+	}
+	t, err := relation.NewTable(st.Table, schema, opts...)
 	if err != nil {
 		return err
 	}

@@ -21,19 +21,19 @@ const batchLine = "vectorized batch=256\n"
 func plannerDB(t *testing.T) *Engine {
 	t.Helper()
 	db := relation.NewDB()
-	courses := relation.MustTable("Courses", relation.NewSchema(
+	courses := relation.MustTable("Courses", relation.MustSchema(
 		relation.NotNullCol("CourseID", relation.TypeInt),
 		relation.NotNullCol("Title", relation.TypeString),
 		relation.NotNullCol("DepID", relation.TypeString),
 	), relation.WithPrimaryKey("CourseID"), relation.WithIndex("DepID"), relation.WithIndex("Title"))
 	db.MustCreate(courses)
-	years := relation.MustTable("CourseYears", relation.NewSchema(
+	years := relation.MustTable("CourseYears", relation.MustSchema(
 		relation.NotNullCol("CourseID", relation.TypeInt),
 		relation.NotNullCol("Year", relation.TypeInt),
 	), relation.WithPrimaryKey("CourseID", "Year"), relation.WithIndex("Year"), relation.WithIndex("CourseID"),
 		relation.WithOrderedIndex("Year"), relation.WithOrderedIndex("CourseID"))
 	db.MustCreate(years)
-	comments := relation.MustTable("Comments", relation.NewSchema(
+	comments := relation.MustTable("Comments", relation.MustSchema(
 		relation.NotNullCol("CommentID", relation.TypeInt),
 		relation.NotNullCol("SuID", relation.TypeInt),
 		relation.NotNullCol("CourseID", relation.TypeInt),
@@ -57,7 +57,7 @@ func plannerDB(t *testing.T) *Engine {
 	}
 	// Enrollments is big enough (200 rows ≥ inljMinRight) that joining a
 	// small probe side against it picks an index nested-loop join.
-	enroll := relation.MustTable("Enrollments", relation.NewSchema(
+	enroll := relation.MustTable("Enrollments", relation.MustSchema(
 		relation.NotNullCol("SuID", relation.TypeInt),
 		relation.NotNullCol("CourseID", relation.TypeInt),
 		relation.NotNullCol("Units", relation.TypeInt),

@@ -219,7 +219,7 @@ func TestDegradedSortPathsUnderDDLRace(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		mustExec(`INSERT INTO Peers VALUES (?, ?)`, int64(i), int64(i%20))
 	}
-	vanishSchema := relation.NewSchema(
+	vanishSchema := relation.MustSchema(
 		relation.NotNullCol("ID", relation.TypeInt),
 		relation.NotNullCol("V", relation.TypeInt),
 	)

@@ -87,7 +87,7 @@ type Service struct {
 // Setup creates the official-grades table and returns the service.
 func Setup(db *relation.DB, cat *catalog.Store) (*Service, error) {
 	official := relation.MustTable("OfficialGrades",
-		relation.NewSchema(
+		relation.MustSchema(
 			relation.NotNullCol("CourseID", relation.TypeInt),
 			relation.NotNullCol("Year", relation.TypeInt),
 			relation.NotNullCol("Grade", relation.TypeString),

@@ -196,7 +196,7 @@ func TestCompareCourse(t *testing.T) {
 	a, _ := cat.AddCourse(catalog.Course{DepID: "CS", Number: "1", Title: "A", Units: 3})
 	b, _ := cat.AddCourse(catalog.Course{DepID: "CS", Number: "2", Title: "B", Units: 3})
 	c, _ := cat.AddCourse(catalog.Course{DepID: "HIST", Number: "1", Title: "C", Units: 3})
-	ratings := relation.MustTable("Ratings", relation.NewSchema(
+	ratings := relation.MustTable("Ratings", relation.MustSchema(
 		relation.NotNullCol("SuID", relation.TypeInt),
 		relation.NotNullCol("CourseID", relation.TypeInt),
 		relation.NotNullCol("Rating", relation.TypeFloat),
