@@ -10,8 +10,10 @@ package cloud
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"courserank/internal/textindex"
 )
@@ -71,70 +73,55 @@ type Cloud struct {
 //
 // where rdf counts result documents containing the term, df counts corpus
 // documents, and N is the corpus size — result-frequency damped by
-// corpus-rarity, the classic "significant terms" contrast.
+// corpus-rarity, the classic "significant terms" contrast. Ties in score
+// go to the alphabetically first term.
+//
+// Counting is keyed by term id: one textindex.CountTerms pass over the
+// result documents' forward entries yields every term's rdf and df
+// without hashing or re-tokenizing a term. The strongest MaxTerms candidates are then
+// kept by a bounded selection, so the cost is linear in the result
+// documents' term entries (their postings) plus O(candidates × log
+// MaxTerms), and steady-state calls allocate only the returned cloud.
 func Compute(ix *textindex.Index, docIDs []int64, opts Options) *Cloud {
 	n := float64(ix.DocCount())
-	excluded := make(map[string]bool, len(opts.Exclude))
+	var exBuf [4]int32
+	excluded := exBuf[:0]
 	for _, t := range opts.Exclude {
-		toks := textindex.Tokenize(t)
-		if len(toks) > 0 {
-			excluded[strings.Join(toks, " ")] = true
+		if id, ok := ix.TermID(t); ok {
+			excluded = append(excluded, id)
 		}
 	}
 
-	rdf := make(map[string]int)
-	for _, id := range docIDs {
-		ix.DocTerms(id, func(term string, _ int) bool {
-			rdf[term]++
-			return true
-		})
-	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.counts = ix.CountTerms(docIDs, sc.counts[:0])
 
-	type cand struct {
-		text  string
-		rdf   int
-		score float64
-	}
-	var cands []cand
-	for term, c := range rdf {
-		if c < opts.minDocs() || excluded[term] {
+	minDocs := opts.minDocs()
+	cands := sc.cands[:0]
+	bigramMax := sc.bigramMax
+	for _, tc := range sc.counts {
+		if slices.Contains(excluded, tc.ID) {
+			// Excluded phrases subsume too: refining by "african
+			// american" must not resurface the bare "african".
+			noteBigram(bigramMax, tc.Text, tc.ResultDocs)
 			continue
 		}
-		if isNumeric(term) {
+		if int(tc.ResultDocs) < minDocs || isNumeric(tc.Text) {
 			continue
 		}
-		df := ix.DocFreq(term)
-		if df == 0 {
-			df = c
-		}
-		score := float64(c) * math.Log(1+n/float64(df))
-		cands = append(cands, cand{text: term, rdf: c, score: score})
+		score := float64(tc.ResultDocs) * math.Log(1+n/float64(tc.DocFreq))
+		cands = append(cands, cand{text: tc.Text, rdf: tc.ResultDocs, score: score})
 	}
 
 	// Subsumption: a unigram that occurs (almost) only inside a candidate
-	// bigram is redundant — the bigram carries the concept. Excluded
-	// phrases subsume too: refining by "african american" must not
-	// resurface the bare "african".
+	// bigram is redundant — the bigram carries the concept.
 	if !opts.KeepSubsumed {
-		bigramMax := make(map[string]int)
-		noteBigram := func(text string, n int) {
-			if i := strings.IndexByte(text, ' '); i > 0 {
-				for _, w := range [2]string{text[:i], text[i+1:]} {
-					if n > bigramMax[w] {
-						bigramMax[w] = n
-					}
-				}
-			}
-		}
 		for _, c := range cands {
-			noteBigram(c.text, c.rdf)
-		}
-		for phrase := range excluded {
-			noteBigram(phrase, rdf[phrase])
+			noteBigram(bigramMax, c.text, c.rdf)
 		}
 		kept := cands[:0]
 		for _, c := range cands {
-			if !strings.Contains(c.text, " ") {
+			if strings.IndexByte(c.text, ' ') < 0 {
 				if bm := bigramMax[c.text]; bm > 0 && float64(bm) >= 0.8*float64(c.rdf) {
 					continue
 				}
@@ -143,26 +130,20 @@ func Compute(ix *textindex.Index, docIDs []int64, opts Options) *Cloud {
 		}
 		cands = kept
 	}
+	clear(bigramMax)
 
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].score != cands[b].score {
-			return cands[a].score > cands[b].score
-		}
-		return cands[a].text < cands[b].text
-	})
-	if len(cands) > opts.maxTerms() {
-		cands = cands[:opts.maxTerms()]
-	}
+	top := selectTop(cands, opts.maxTerms())
+	sc.cands = cands
 
-	out := &Cloud{ResultSize: len(docIDs), Terms: make([]Term, len(cands))}
-	if len(cands) == 0 {
+	out := &Cloud{ResultSize: len(docIDs), Terms: make([]Term, len(top))}
+	if len(top) == 0 {
 		return out
 	}
 	// Weight buckets: linear split of the score range, so the strongest
 	// theme renders largest.
-	lo, hi := cands[len(cands)-1].score, cands[0].score
+	lo, hi := top[len(top)-1].score, top[0].score
 	span := hi - lo
-	for i, c := range cands {
+	for i, c := range top {
 		w := MaxWeight
 		if span > 0 {
 			w = 1 + int(float64(MaxWeight-1)*(c.score-lo)/span+0.5)
@@ -173,23 +154,99 @@ func Compute(ix *textindex.Index, docIDs []int64, opts Options) *Cloud {
 				w = 1
 			}
 		}
-		out.Terms[i] = Term{Text: c.text, ResultDocs: c.rdf, Score: c.score, Weight: w}
+		out.Terms[i] = Term{Text: c.text, ResultDocs: int(c.rdf), Score: c.score, Weight: w}
 	}
 	return out
 }
 
-// isNumeric reports whether the term consists only of digit tokens —
-// years and section numbers are not useful cloud themes.
-func isNumeric(term string) bool {
-	for _, tok := range strings.Split(term, " ") {
-		hasAlpha := false
-		for _, r := range tok {
-			if r >= 'a' && r <= 'z' {
-				hasAlpha = true
-				break
+// cand is a term that passed the filters, with its score.
+type cand struct {
+	text  string
+	rdf   int32
+	score float64
+}
+
+// better orders candidates by descending score, then ascending text.
+func (c cand) better(d cand) bool {
+	if c.score != d.score {
+		return c.score > d.score
+	}
+	return c.text < d.text
+}
+
+// scratch is the per-call working memory of Compute, pooled so that a
+// steady stream of clouds allocates none of it.
+type scratch struct {
+	counts    []textindex.TermCount
+	cands     []cand
+	bigramMax map[string]int32 // word → largest rdf of a bigram holding it
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{bigramMax: make(map[string]int32)}
+}}
+
+// noteBigram records a bigram's rdf against both of its words.
+func noteBigram(bigramMax map[string]int32, text string, rdf int32) {
+	if i := strings.IndexByte(text, ' '); i > 0 {
+		for _, w := range [2]string{text[:i], text[i+1:]} {
+			if rdf > bigramMax[w] {
+				bigramMax[w] = rdf
 			}
 		}
-		if hasAlpha {
+	}
+}
+
+// selectTop reorders cands so that its first min(k, len) entries are the
+// best k in order, and returns them. It keeps a bounded min-heap (worst
+// kept candidate at the root) in cands' prefix, so no more than k
+// candidates are ever ordered against each other.
+func selectTop(cands []cand, k int) []cand {
+	if k > len(cands) {
+		k = len(cands)
+	}
+	h := cands[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for _, c := range cands[k:] {
+		if k > 0 && c.better(h[0]) {
+			h[0] = c
+			siftDown(h, 0)
+		}
+	}
+	// Pop the worst to the back until the prefix is sorted best-first.
+	for end := k - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h[:end], 0)
+	}
+	return h
+}
+
+// siftDown restores the heap order below position i: every parent is
+// worse than its children.
+func siftDown(h []cand, i int) {
+	for {
+		worst, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[worst].better(h[l]) {
+			worst = l
+		}
+		if r < len(h) && h[worst].better(h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// isNumeric reports whether the term has no letter a–z in any of its
+// tokens — years and section numbers are not useful cloud themes.
+func isNumeric(term string) bool {
+	for i := 0; i < len(term); i++ {
+		if c := term[i]; c >= 'a' && c <= 'z' {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -231,5 +232,62 @@ func TestCloudCountsBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// synthCorpus builds a deterministic corpus of docs documents whose words
+// follow a skewed draw from a vocabulary of words, and returns the ids of
+// every fifth document as the result set, with the word they share.
+func synthCorpus(tb testing.TB, docs, words int) (*textindex.Index, []int64) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 2, uint64(words-1))
+	ix := textindex.MustNew(textindex.Field{Name: "title", Weight: 3}, textindex.Field{Name: "body", Weight: 1})
+	var results []int64
+	var b strings.Builder
+	text := func(n int) string {
+		b.Reset()
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "w%d ", zipf.Uint64())
+		}
+		return b.String()
+	}
+	for id := int64(1); id <= int64(docs); id++ {
+		title := text(4)
+		if id%5 == 0 {
+			title += "theme"
+			results = append(results, id)
+		}
+		if err := ix.Add(id, []string{title, text(60)}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ix.Finish()
+	return ix, results
+}
+
+// BenchmarkCompute times one cloud over 400 of 2,000 documents with a
+// 5,000-word vocabulary (about the Small site's widest discover searches).
+func BenchmarkCompute(b *testing.B) {
+	ix, results := synthCorpus(b, 2000, 5000)
+	opts := Options{MaxTerms: 30, Exclude: []string{"theme"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := Compute(ix, results, opts); len(c.Terms) != 30 {
+			b.Fatalf("%d terms", len(c.Terms))
+		}
+	}
+}
+
+// TestComputeAllocs gates Compute's allocations: its working memory is
+// pooled, so a steady stream of clouds allocates little beyond the
+// returned cloud. Counting by term text allocated per distinct term.
+func TestComputeAllocs(t *testing.T) {
+	ix, results := synthCorpus(t, 2000, 5000)
+	opts := Options{MaxTerms: 30, Exclude: []string{"theme"}}
+	allocs := testing.AllocsPerRun(20, func() { Compute(ix, results, opts) })
+	if allocs > 64 {
+		t.Errorf("Compute made %.0f allocs per cloud; the bound is 64", allocs)
 	}
 }

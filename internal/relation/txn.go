@@ -697,12 +697,15 @@ func (tx *Tx) Commit() error {
 	tx.clock.complete(seq)
 	tx.finish(seq)
 	tx.clock.committed.Add(1)
-	var err error
-	if tx.gate != nil && commitLSN != 0 {
-		err = tx.gate.WaitDurable(commitLSN)
-	}
+	// Release the gate before waiting: WaitDurable may run the
+	// auto-checkpoint, which takes the gate exclusively and would
+	// otherwise block on this transaction's own shared hold.
+	gate := tx.gate
 	tx.releaseGate()
-	return err
+	if gate != nil && commitLSN != 0 {
+		return gate.WaitDurable(commitLSN)
+	}
+	return nil
 }
 
 // minActiveExcept is minActive ignoring one transaction — the horizon a

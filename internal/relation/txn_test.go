@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"courserank/internal/wal"
 )
@@ -577,5 +578,56 @@ func TestTxCheckpointWaitsForOpenTx(t *testing.T) {
 	defer store2.Close()
 	if r, ok := db2.MustTable("KV").Get(int64(1)); !ok || r[1] != "staged" {
 		t.Fatalf("checkpointed tx row = %v", r)
+	}
+}
+
+// TestTxCommitCrossingCheckpoint pins the commit order: a transaction
+// releases the checkpoint gate before it waits for durability, because
+// the wait runs the auto-checkpoint, which takes the gate exclusively.
+// Waiting while still holding the gate's shared side deadlocked the
+// first commit that crossed CheckpointEvery.
+func TestTxCommitCrossingCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db, store, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAlways, CheckpointEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustCreate(kvTable())
+	tbl := db.MustTable("KV")
+
+	// No deferred Close: on a deadlock it would block on the held gate
+	// too, and the test would hang instead of failing.
+	const commits = 16
+	done := make(chan error, 1)
+	go func() {
+		for i := int64(1); i <= commits; i++ {
+			tx := db.Begin()
+			if _, err := tx.Insert(tbl, Row{i, "row", i}); err != nil {
+				done <- err
+				return
+			}
+			if err := tx.Commit(); err != nil {
+				done <- fmt.Errorf("commit %d: %w", i, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("commits crossing CheckpointEvery did not finish: commit deadlocked on its own checkpoint")
+	}
+	if n := store.Stats().Checkpoints; n == 0 {
+		t.Errorf("%d commits at CheckpointEvery 8 ran no checkpoint", commits)
+	}
+	if got := tbl.Len(); got != commits {
+		t.Errorf("table holds %d rows after %d commits", got, commits)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

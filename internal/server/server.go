@@ -80,6 +80,27 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps a request body. Every JSON body this API takes is a
+// few hundred bytes; without a cap one huge value would be read whole.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes of it. On failure it answers 413 for an oversized body
+// or 400 for malformed JSON and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes))
+		return false
+	}
+	writeErr(w, http.StatusBadRequest, err)
+	return false
+}
+
 // auth wraps a handler with session-token validation — the closed
 // community gate.
 func (s *Server) auth(next func(http.ResponseWriter, *http.Request, community.User)) http.HandlerFunc {
@@ -105,8 +126,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Username string `json:"username"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	u, err := s.site.Community.Register(req.Username)
@@ -121,8 +141,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Username string `json:"username"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	token, err := s.site.Community.Login(req.Username, s.day)
@@ -218,8 +237,7 @@ func (s *Server) handleComment(w http.ResponseWriter, r *http.Request, u communi
 		Text     string  `json:"text"`
 		Rating   float64 `json:"rating"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	id, err := s.site.Comments.Add(comments.Comment{
@@ -251,8 +269,7 @@ func (s *Server) handleReview(w http.ResponseWriter, r *http.Request, u communit
 		Text     string  `json:"text"`
 		Rating   float64 `json:"rating"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	id, err := s.site.EnrollCommentRate(core.Review{
@@ -285,8 +302,7 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request, u community.
 		CourseID int64   `json:"courseId"`
 		Rating   float64 `json:"rating"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := s.site.Comments.Rate(u.ID, req.CourseID, req.Rating); err != nil {

@@ -557,3 +557,35 @@ func TestBearerTokenHeader(t *testing.T) {
 		t.Errorf("bearer auth status = %d", resp.StatusCode)
 	}
 }
+
+// TestRequestBodyLimits covers the body cap on every JSON-taking route:
+// a value longer than maxBodyBytes answers 413, malformed JSON 400, and
+// a body just under the cap is still read.
+func TestRequestBodyLimits(t *testing.T) {
+	ts, _, _ := testServer(t)
+	token := login(t, ts, "stu00007")
+	post := func(path, body string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, decode[map[string]any](t, resp)
+	}
+	huge := `{"username":"` + strings.Repeat("a", maxBodyBytes+1) + `"}`
+	for _, path := range []string{"/api/register", "/api/login", "/api/comment?token=" + token,
+		"/api/review?token=" + token, "/api/rate?token=" + token} {
+		if code, out := post(path, huge); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d (%v), want 413", path, len(huge), code, out)
+		}
+		if code, out := post(path, `{"username": `); code != http.StatusBadRequest {
+			t.Errorf("%s with malformed JSON: status %d (%v), want 400", path, code, out)
+		}
+	}
+	// Just under the cap: decoded, then refused by the directory (403),
+	// not by the size check.
+	name := strings.Repeat("b", maxBodyBytes-64)
+	if code, out := post("/api/register", `{"username":"`+name+`"}`); code != http.StatusForbidden {
+		t.Errorf("register with a body under the cap: status %d (%v), want 403", code, out)
+	}
+}

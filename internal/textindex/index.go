@@ -3,6 +3,7 @@ package textindex
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,18 +26,11 @@ type posting struct {
 	freq  int32
 }
 
-// termFreq is one entry of a document's forward index (term id → count,
-// aggregated across fields, unigrams and bigrams together).
-type termFreq struct {
-	term int32
-	freq int32
-}
-
 // docEntry is the per-document state.
 type docEntry struct {
 	id       int64
 	fieldLen []int32 // tokens per field
-	terms    []termFreq
+	terms    []int32 // forward index: distinct term ids of all fields, ascending
 }
 
 // Index is an inverted index over documents with weighted fields. Add all
@@ -56,6 +50,8 @@ type Index struct {
 	byID     map[int64]int32
 	totalLen []int64 // per-field token totals, for BM25F length norm
 	finished bool
+
+	slots sync.Pool // *[]int32 scratch tables for CountTerms
 }
 
 // New creates an index with the given fields. At least one field is
@@ -131,7 +127,7 @@ func (ix *Index) Add(docID int64, fieldValues []string) error {
 	ord := int32(len(ix.docs))
 	entry := docEntry{id: docID, fieldLen: make([]int32, len(ix.fields))}
 	perField := make([]map[int32]int32, len(ix.fields))
-	docTotals := make(map[int32]int32)
+	docTerms := make(map[int32]struct{})
 	for fi, text := range fieldValues {
 		toks := Tokenize(text)
 		entry.fieldLen[fi] = int32(len(toks))
@@ -144,8 +140,8 @@ func (ix *Index) Add(docID int64, fieldValues []string) error {
 			counts[ix.intern(bg)]++
 		}
 		perField[fi] = counts
-		for id, c := range counts {
-			docTotals[id] += c
+		for id := range counts {
+			docTerms[id] = struct{}{}
 		}
 	}
 	for fi, counts := range perField {
@@ -153,12 +149,12 @@ func (ix *Index) Add(docID int64, fieldValues []string) error {
 			ix.postings[id] = append(ix.postings[id], posting{doc: ord, field: uint8(fi), freq: c})
 		}
 	}
-	entry.terms = make([]termFreq, 0, len(docTotals))
-	for id, c := range docTotals {
-		entry.terms = append(entry.terms, termFreq{term: id, freq: c})
+	entry.terms = make([]int32, 0, len(docTerms))
+	for id := range docTerms {
+		entry.terms = append(entry.terms, id)
 		ix.df[id]++
 	}
-	sort.Slice(entry.terms, func(a, b int) bool { return entry.terms[a].term < entry.terms[b].term })
+	slices.Sort(entry.terms)
 	ix.docs = append(ix.docs, entry)
 	ix.byID[docID] = ord
 	return nil
@@ -209,22 +205,63 @@ func normalizeTerm(term string) string {
 	return strings.Join(toks, " ")
 }
 
-// DocTerms streams the (term, frequency) pairs of one document in
-// deterministic term order; fn returning false stops iteration. It
-// reports whether the document exists.
-func (ix *Index) DocTerms(docID int64, fn func(term string, freq int) bool) bool {
+// TermID returns the id of a term (unigram or "w1 w2" bigram), matching
+// on the tokenized form as DocFreq does.
+func (ix *Index) TermID(term string) (int32, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ord, ok := ix.byID[docID]
-	if !ok {
-		return false
+	id, ok := ix.vocab[normalizeTerm(term)]
+	return id, ok
+}
+
+// TermCount is one term's tally over a set of documents (see CountTerms).
+type TermCount struct {
+	ID         int32
+	Text       string // indexed form: a token or a "w1 w2" bigram
+	ResultDocs int32  // documents of the set containing the term
+	DocFreq    int32  // documents of the whole corpus containing it
+}
+
+// CountTerms tallies, for every term occurring in the given documents,
+// how many of them contain it, and appends one TermCount per such term
+// to buf in order of first occurrence. A document id listed twice counts
+// twice; unknown ids are skipped.
+//
+// It walks the documents' forward entries (already term ids) under one
+// read lock, counting into a pooled slot table of vocabulary size of
+// which only the touched slots are reset, so its cost is linear in the
+// documents' term entries, not in the vocabulary.
+func (ix *Index) CountTerms(docIDs []int64, buf []TermCount) []TermCount {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	// slot[id] is the position in buf of id's tally, plus one; zero
+	// means not yet seen.
+	sp, _ := ix.slots.Get().(*[]int32)
+	if sp == nil || len(*sp) < len(ix.words) {
+		s := make([]int32, len(ix.words))
+		sp = &s
 	}
-	for _, tf := range ix.docs[ord].terms {
-		if !fn(ix.words[tf.term], int(tf.freq)) {
-			return false
+	slot := *sp
+	base := len(buf)
+	for _, docID := range docIDs {
+		ord, ok := ix.byID[docID]
+		if !ok {
+			continue
+		}
+		for _, id := range ix.docs[ord].terms {
+			if p := slot[id]; p != 0 {
+				buf[p-1].ResultDocs++
+				continue
+			}
+			buf = append(buf, TermCount{ID: id, Text: ix.words[id], ResultDocs: 1, DocFreq: ix.df[id]})
+			slot[id] = int32(len(buf))
 		}
 	}
-	return true
+	for _, tc := range buf[base:] {
+		slot[tc.ID] = 0
+	}
+	ix.slots.Put(sp)
+	return buf
 }
 
 // Hit is one search result.

@@ -165,7 +165,7 @@ func TestCountMatchesSearch(t *testing.T) {
 	}
 }
 
-func TestDocFreqAndDocTerms(t *testing.T) {
+func TestDocFreqAndCountTerms(t *testing.T) {
 	ix := buildIndex(t)
 	if df := ix.DocFreq("american"); df != 4 {
 		t.Errorf("DocFreq(american) = %d, want 4", df)
@@ -176,27 +176,56 @@ func TestDocFreqAndDocTerms(t *testing.T) {
 	if df := ix.DocFreq("nope"); df != 0 {
 		t.Errorf("DocFreq(nope) = %d", df)
 	}
-	seen := map[string]int{}
-	if !ix.DocTerms(3, func(term string, freq int) bool {
-		seen[term] = freq
-		return true
-	}) {
-		t.Fatal("DocTerms(3) should exist")
+	if id, ok := ix.TermID("African  AMERICAN"); !ok || ix.words[id] != "african american" {
+		t.Errorf("TermID(African AMERICAN) = %d, %v", id, ok)
 	}
-	if seen["african american"] != 2 {
-		t.Errorf("doc 3 'african american' freq = %d, want 2", seen["african american"])
+	if _, ok := ix.TermID("nope"); ok {
+		t.Error("TermID(nope) should report false")
 	}
-	if seen["american"] != 3 {
-		t.Errorf("doc 3 'american' freq = %d, want 3", seen["american"])
+
+	// Docs 1, 2 and 3 (3 listed twice), plus an unknown id. The buffer's
+	// existing entry is kept.
+	prefix := TermCount{ID: -1, Text: "kept"}
+	got := ix.CountTerms([]int64{1, 2, 3, 99, 3}, []TermCount{prefix})
+	if got[0] != prefix {
+		t.Fatalf("CountTerms overwrote the buffer's prefix: %+v", got[0])
 	}
-	if ix.DocTerms(99, func(string, int) bool { return true }) {
-		t.Error("DocTerms(99) should report false")
+	byText := map[string]TermCount{}
+	for _, tc := range got[1:] {
+		if _, dup := byText[tc.Text]; dup {
+			t.Fatalf("term %q tallied twice", tc.Text)
+		}
+		if ix.words[tc.ID] != tc.Text {
+			t.Errorf("id %d is %q, not %q", tc.ID, ix.words[tc.ID], tc.Text)
+		}
+		if want := int32(ix.DocFreq(tc.Text)); tc.DocFreq != want {
+			t.Errorf("%q DocFreq = %d, want %d", tc.Text, tc.DocFreq, want)
+		}
+		byText[tc.Text] = tc
 	}
-	// Early stop.
-	calls := 0
-	ix.DocTerms(3, func(string, int) bool { calls++; return false })
-	if calls != 1 {
-		t.Errorf("early stop made %d calls", calls)
+	for term, want := range map[string]int32{
+		"american":          4, // docs 1, 2, 3, 3
+		"politics":          2, // docs 1, 2
+		"african american":  2, // doc 3 twice
+		"latin american":    1,
+		"american politics": 1,
+	} {
+		if tc := byText[term]; tc.ResultDocs != want {
+			t.Errorf("%q ResultDocs = %d, want %d", term, tc.ResultDocs, want)
+		}
+	}
+	if _, ok := byText["java"]; ok {
+		t.Error("a term of doc 5 only was tallied")
+	}
+	// The pooled slot table is reset: a second call counts from zero.
+	again := ix.CountTerms([]int64{2}, nil)
+	for _, tc := range again {
+		if tc.ResultDocs != 1 {
+			t.Fatalf("second call: %q ResultDocs = %d, want 1", tc.Text, tc.ResultDocs)
+		}
+	}
+	if len(again) == 0 || len(ix.CountTerms(nil, nil)) != 0 {
+		t.Errorf("CountTerms: %d terms for doc 2; want some, and none for no docs", len(again))
 	}
 }
 
